@@ -10,7 +10,7 @@ import sys
 
 from .construct import build, trace_dumps, trace_loads
 from .errors import RepbasisError
-from .repcore import PhiSpec, RepTarget, counting, density_demand
+from .repcore import PhiSpec, RepTarget, _unique_keys, counting, density_demand
 from .sidon import erdos_turan_sidon, greedy_sidon, sidon_for_density
 from .verify import verify_trace
 
@@ -56,7 +56,7 @@ def _write_text(path: str | None, text: str) -> None:
 
 def _cmd_build(args) -> int:
     with open(args.f, encoding="utf-8") as handle:
-        f = RepTarget.from_dict(json.load(handle))
+        f = RepTarget.from_dict(json.load(handle, object_pairs_hook=_unique_keys))
     phi = PhiSpec.parse(args.phi)
     trace = build(f, phi, args.stages, search_cap=args.search_cap)
     _write_text(args.out, trace_dumps(trace))

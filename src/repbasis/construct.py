@@ -20,6 +20,7 @@ from .repcore import (
     PhiSpec,
     RepTarget,
     TargetSequence,
+    _unique_keys,
     counting,
     d0_of,
     density_exceeds,
@@ -423,7 +424,7 @@ def trace_from_dict(data) -> ConstructionTrace:
 
 def trace_loads(text: str) -> ConstructionTrace:
     try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
+        data = json.loads(text, object_pairs_hook=_unique_keys)
+    except ValueError as exc:  # bad syntax, a duplicate key or an over-long integer
         raise MalformedTraceError(f"trace is not valid JSON: {exc}") from None
     return trace_from_dict(data)

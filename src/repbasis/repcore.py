@@ -40,6 +40,17 @@ def _decode_count(raw, *, what: str):
     return raw
 
 
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """json object_pairs_hook that rejects a key given twice in one object,
+    where json.loads would silently keep the last value."""
+    out = {}
+    for key, value in pairs:
+        if key in out:
+            raise ValueError(f"duplicate key {key!r} in a JSON object")
+        out[key] = value
+    return out
+
+
 @dataclass(frozen=True, eq=True)
 class RepTarget:
     """Prescribed representation counts: explicit on |n| <= window_radius, a
@@ -115,6 +126,8 @@ class RepTarget:
                 n = int(key)
             except (TypeError, ValueError):
                 raise ValueError(f"target value key {key!r} is not an integer") from None
+            if n in values:
+                raise ValueError(f"target value keys name n={n} more than once (at {key!r})")
             values[n] = _decode_count(raw, what=f"value at n={n}")
         return cls(window, values, _decode_count(default, what="default"))
 

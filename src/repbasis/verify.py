@@ -17,9 +17,10 @@ from .construct import (
     KIND_DENSIFICATION,
     KIND_EXTENSION,
     ConstructionTrace,
+    StageRecord,
     validate_trace_structure,
 )
-from .errors import PreconditionViolatedError
+from .errors import MalformedTraceError, PreconditionViolatedError
 from .repcore import (
     FiniteBasis,
     counting,
@@ -60,7 +61,9 @@ class CheckResult:
 
 
 @dataclass(frozen=True, eq=True)
-class InvariantReport:
+class _CheckList:
+    """A sequence of checks that passes when every check passes."""
+
     checks: tuple[CheckResult, ...]
 
     @property
@@ -72,6 +75,18 @@ class InvariantReport:
 
     def to_dict(self) -> dict:
         return {"passed": self.passed, "checks": [c.to_dict() for c in self.checks]}
+
+
+class InvariantReport(_CheckList):
+    """The per-stage invariants followed by the trace-global checks."""
+
+
+@dataclass(frozen=True, eq=True)
+class DecompositionReport(_CheckList):
+    kind: str
+
+    def to_dict(self) -> dict:
+        return {"kind": self.kind, **super().to_dict()}
 
 
 def _ok(condition: str, stage: int | None, detail: str = "") -> CheckResult:
@@ -90,104 +105,83 @@ def check_invariants(trace: ConstructionTrace) -> InvariantReport:
     with a concrete integer witness.
     """
     validate_trace_structure(trace)
-    f, phi, u_prefix = trace.f, trace.phi, trace.u_prefix
     checks: list[CheckResult] = []
-    seen_x: list[tuple[int, int]] = []
     prev: FiniteBasis | None = None
     for s in trace.stages:
-        if 0 in s.set:
-            checks.append(_fail(COND_ZERO_FREE, s.index, 0, "0 is an element of the stage set"))
-        else:
-            checks.append(_ok(COND_ZERO_FREE, s.index))
-
-        checks.append(_composition_check(s.index, prev, s.set, s.added))
-
-        counts = sum_counter(s.set)
-        bad = sorted(n for n, r in counts.items() if r > f.value(n))
-        if bad:
-            n = bad[0]
-            checks.append(
-                _fail(
-                    COND_PAIR_BOUND,
-                    s.index,
-                    n,
-                    f"rep count {counts[n]} exceeds prescribed {f.value(n)} at n={n}",
-                )
-            )
-        else:
-            checks.append(_ok(COND_PAIR_BOUND, s.index, "pair-sum counts within bounds"))
-
-        need = Counter(u_prefix[: s.m_covered])
-        short = sorted(n for n in need if counts[n] < need[n])
-        if short:
-            n = short[0]
-            checks.append(
-                _fail(
-                    COND_COVERAGE,
-                    s.index,
-                    n,
-                    f"target n={n} needs {need[n]} representations, set gives {counts[n]}",
-                )
-            )
-        else:
-            checks.append(_ok(COND_COVERAGE, s.index, f"first {s.m_covered} targets covered"))
-
-        if s.x is not None:
-            cnt = counting(s.set, -s.x, s.x)
-            demand = density_demand(s.x, phi)
-            if density_exceeds(cnt, s.x, phi):
-                checks.append(
-                    _ok(COND_DENSITY, s.index, f"count {cnt} > sqrt(x)/phi(x) = {demand:.6f}")
-                )
-            else:
-                checks.append(
-                    _fail(
-                        COND_DENSITY,
-                        s.index,
-                        s.x,
-                        f"count {cnt} does not clear sqrt(x)/phi(x) = {demand:.6f} at x={s.x}",
-                    )
-                )
-            seen_x.append((s.index, s.x))
+        checks += _stage_invariants(trace, s, prev, sum_counter(s.set))
         prev = s.set
+    return InvariantReport(tuple(checks + _trace_invariants(trace)))
 
-    monotone_fail = next(
-        (
-            (idx, x)
-            for (_, x_prev), (idx, x) in zip(seen_x, seen_x[1:])
-            if x <= x_prev
-        ),
-        None,
-    )
+
+def _stage_invariants(
+    trace: ConstructionTrace,
+    s: StageRecord,
+    prev: FiniteBasis | None,
+    counts: Counter,
+) -> list[CheckResult]:
+    """Zero-freeness, nesting, pair bound, coverage and density of one stage;
+    `counts` is the stage's pair-sum Counter."""
+    f = trace.f
+    checks: list[CheckResult] = []
+    if 0 in s.set:
+        checks.append(_fail(COND_ZERO_FREE, s.index, 0, "0 is an element of the stage set"))
+    else:
+        checks.append(_ok(COND_ZERO_FREE, s.index))
+
+    checks.append(_nesting_check(s, prev))
+
+    n = min((n for n, r in counts.items() if r > f.value(n)), default=None)
+    if n is not None:
+        detail = f"rep count {counts[n]} exceeds prescribed {f.value(n)} at n={n}"
+        checks.append(_fail(COND_PAIR_BOUND, s.index, n, detail))
+    else:
+        checks.append(_ok(COND_PAIR_BOUND, s.index, "pair-sum counts within bounds"))
+
+    need = Counter(trace.u_prefix[: s.m_covered])
+    n = min((n for n in need if counts[n] < need[n]), default=None)
+    if n is not None:
+        detail = f"target n={n} needs {need[n]} representations, set gives {counts[n]}"
+        checks.append(_fail(COND_COVERAGE, s.index, n, detail))
+    else:
+        checks.append(_ok(COND_COVERAGE, s.index, f"first {s.m_covered} targets covered"))
+
+    if s.x is not None:
+        cnt = counting(s.set, -s.x, s.x)
+        demand = density_demand(s.x, trace.phi)
+        if density_exceeds(cnt, s.x, trace.phi):
+            detail = f"count {cnt} > sqrt(x)/phi(x) = {demand:.6f}"
+            checks.append(_ok(COND_DENSITY, s.index, detail))
+        else:
+            detail = f"count {cnt} does not clear sqrt(x)/phi(x) = {demand:.6f} at x={s.x}"
+            checks.append(_fail(COND_DENSITY, s.index, s.x, detail))
+    return checks
+
+
+def _trace_invariants(trace: ConstructionTrace) -> list[CheckResult]:
+    """Checkpoint monotonicity and the u_prefix enumeration."""
+    checks: list[CheckResult] = []
+    seen_x = [(idx, x) for idx, x, _ in trace.checkpoints()]
+    pairs = zip(seen_x, seen_x[1:])
+    monotone_fail = next(((idx, x) for (_, x_prev), (idx, x) in pairs if x <= x_prev), None)
     if monotone_fail:
         idx, x = monotone_fail
         checks.append(_fail(COND_MONOTONE, idx, x, f"checkpoint x={x} does not increase"))
     else:
         checks.append(_ok(COND_MONOTONE, None, "checkpoints strictly increase"))
 
-    expected_prefix = tuple(target_prefix(f, len(u_prefix)))
+    u_prefix = trace.u_prefix
+    expected_prefix = tuple(target_prefix(trace.f, len(u_prefix)))
     if expected_prefix != u_prefix:
         pos = next(i for i, (a, b) in enumerate(zip(expected_prefix, u_prefix)) if a != b)
-        checks.append(
-            _fail(
-                COND_U_PREFIX,
-                None,
-                u_prefix[pos],
-                f"u_prefix[{pos}] is {u_prefix[pos]}, enumeration gives {expected_prefix[pos]}",
-            )
-        )
+        detail = f"u_prefix[{pos}] is {u_prefix[pos]}, enumeration gives {expected_prefix[pos]}"
+        checks.append(_fail(COND_U_PREFIX, None, u_prefix[pos], detail))
     else:
         checks.append(_ok(COND_U_PREFIX, None, "u_prefix matches the deterministic enumeration"))
+    return checks
 
-    return InvariantReport(tuple(checks))
 
-
-def _composition_check(
-    index: int,
-    prev: FiniteBasis | None,
-    current: FiniteBasis,
-    added: FiniteBasis,
-) -> CheckResult:
+def _nesting_check(s: StageRecord, prev: FiniteBasis | None) -> CheckResult:
+    index, current, added = s.index, s.set, s.added
     if index == 1:
         if current.elements != added.elements:
             witness = next(
@@ -215,22 +209,6 @@ def _composition_check(
     return _ok(COND_NESTING, index, "stage extends the previous set by exactly its added elements")
 
 
-@dataclass(frozen=True, eq=True)
-class DecompositionReport:
-    kind: str
-    checks: tuple[CheckResult, ...]
-
-    @property
-    def passed(self) -> bool:
-        return all(c.passed for c in self.checks)
-
-    def failures(self) -> list[CheckResult]:
-        return [c for c in self.checks if not c.passed]
-
-    def to_dict(self) -> dict:
-        return {"kind": self.kind, "passed": self.passed, "checks": [c.to_dict() for c in self.checks]}
-
-
 def check_decomposition(A: FiniteBasis, added, kind: str) -> DecompositionReport:
     """Rebuild the three parts of 2B, B = A plus the added elements, and
     test the disjointness and piecewise count claims for the given kind.
@@ -248,11 +226,34 @@ def check_decomposition(A: FiniteBasis, added, kind: str) -> DecompositionReport
         raise PreconditionViolatedError(
             f"an extension adjoins exactly two elements, got {len(added_tuple)}"
         )
-    u = added_tuple[0] + added_tuple[1] if kind == KIND_EXTENSION else None
+    return _decomposition(A, sum_counter(A), added_tuple, kind, sum_counter(A.union(added_tuple)))
 
-    old_sums = sum_counter(A)
-    cross = Counter(a + t for a in A for t in added_tuple)
-    self_part = Counter(s + t for s, t in combinations_with_replacement(added_tuple, 2))
+
+def _stage_decomposition(
+    prev: FiniteBasis, prev_counts: Counter, s: StageRecord, counts: Counter
+) -> DecompositionReport:
+    """Stage s's decomposition over the previous stage set.  The stage's own
+    pair-sum count is the brute-force recount whenever the stage set is
+    exactly prev plus added; only a stage that is not nested is recounted.
+    Kept apart from the stage walk so that a recount dies on return."""
+    if s.kind == KIND_EXTENSION and len(s.added) != 2:
+        # an extension adjoins one pair, or nothing when its target was covered
+        raise MalformedTraceError(
+            f"extension stage {s.index} must add 0 or 2 elements, got {len(s.added)}"
+        )
+    union = prev.union(s.added)
+    actual = counts if union == s.set else sum_counter(union)
+    return _decomposition(prev, prev_counts, s.added.elements, s.kind, actual)
+
+
+def _decomposition(
+    A: FiniteBasis, old_sums: Counter, added: tuple[int, ...], kind: str, actual: Counter
+) -> DecompositionReport:
+    """The decomposition checks of A plus the sorted `added`, given the pair-sum
+    counts of A (`old_sums`) and of the union (`actual`)."""
+    u = added[0] + added[1] if kind == KIND_EXTENSION else None
+    cross = Counter(a + t for a in A for t in added)
+    self_part = Counter(s + t for s, t in combinations_with_replacement(added, 2))
     checks: list[CheckResult] = []
 
     checks.append(_unique_part_check("cross_part_unique", cross))
@@ -261,8 +262,6 @@ def check_decomposition(A: FiniteBasis, added, kind: str) -> DecompositionReport
     checks.append(_disjoint_check("cross_self_disjoint", cross, self_part, exempt=None))
     checks.append(_disjoint_check("old_self_disjoint", old_sums, self_part, exempt=u))
 
-    B = A.union(added_tuple)
-    actual = sum_counter(B)
     support = sorted(set(old_sums) | set(cross) | set(self_part))
     mismatch = None
     for n in support:
@@ -277,14 +276,8 @@ def check_decomposition(A: FiniteBasis, added, kind: str) -> DecompositionReport
             break
     if mismatch:
         n, expected, got = mismatch
-        checks.append(
-            _fail(
-                "piecewise_formula",
-                None,
-                n,
-                f"rep count at n={n} is {got}, piecewise formula gives {expected}",
-            )
-        )
+        detail = f"rep count at n={n} is {got}, piecewise formula gives {expected}"
+        checks.append(_fail("piecewise_formula", None, n, detail))
     else:
         checks.append(_ok("piecewise_formula", None, "piecewise counts match brute force"))
 
@@ -292,9 +285,8 @@ def check_decomposition(A: FiniteBasis, added, kind: str) -> DecompositionReport
 
 
 def _unique_part_check(name: str, part: Counter) -> CheckResult:
-    repeated = sorted(n for n, k in part.items() if k > 1)
-    if repeated:
-        n = repeated[0]
+    n = min((n for n, k in part.items() if k > 1), default=None)
+    if n is not None:
         return _fail(name, None, n, f"sum {n} realized {part[n]} times within one part")
     return _ok(name, None, "all sums within the part are distinct")
 
@@ -394,12 +386,7 @@ class VerificationReport:
 
     @property
     def passed(self) -> bool:
-        return (
-            self.invariants.passed
-            and all(rep.passed for _, rep in self.decompositions)
-            and self.equality.passed
-            and all(c.passed for c in self.upper_bounds)
-        )
+        return not self.failures()
 
     def failures(self) -> list[str]:
         out = []
@@ -431,34 +418,37 @@ class VerificationReport:
 
 def verify_trace(trace: ConstructionTrace) -> VerificationReport:
     """Full oracle bundle: invariants, per-stage decompositions, exhausted
-    equalities, and the pigeonhole bound at every (stage, checkpoint) pair."""
-    invariants = check_invariants(trace)
+    equalities, and the pigeonhole bound at every (stage, checkpoint) pair.
+
+    One walk over the stages counts each stage's pair sums once.  That count
+    serves the stage's invariants, its own decomposition's brute-force
+    recount and, as the old sums, the next stage's decomposition.
+    """
+    validate_trace_structure(trace)
+    bounds = [(x, trace.f.max_finite(2 * x)) for _, x, _ in trace.checkpoints()]
+    invariants: list[CheckResult] = []
     decompositions = []
-    prev = None
-    for s in trace.stages:
-        if s.kind != KIND_BASE and len(s.added) > 0:
-            decompositions.append((s.index, check_decomposition(prev, s.added, s.kind)))
-        prev = s.set
-
-    equality = check_equality_coverage(trace)
-
     upper_bounds: list[CheckResult] = []
-    checkpoints = [x for _, x, _ in trace.checkpoints()]
+    # only the previous stage's count and the current one stay alive
+    prev = prev_counts = None
     for s in trace.stages:
-        for x in checkpoints:
-            r = trace.f.max_finite(2 * x)
+        counts = sum_counter(s.set)
+        invariants += _stage_invariants(trace, s, prev, counts)
+        if s.kind != KIND_BASE and len(s.added) > 0:
+            decompositions.append((s.index, _stage_decomposition(prev, prev_counts, s, counts)))
+        for x, r in bounds:
             if r is None:
                 continue
-            ok = upper_bound_check(s.set, x, r)
             k = counting(s.set, -x, x)
             detail = f"k={k}, k(k+1)/2={k * (k + 1) // 2}, bound r(4x+1)={r * (4 * x + 1)}"
-            if ok:
+            if upper_bound_check(s.set, x, r):
                 upper_bounds.append(_ok("upper_bound", s.index, detail))
             else:
                 upper_bounds.append(_fail("upper_bound", s.index, x, detail))
+        prev, prev_counts = s.set, counts
     return VerificationReport(
-        invariants=invariants,
+        invariants=InvariantReport(tuple(invariants + _trace_invariants(trace))),
         decompositions=tuple(decompositions),
-        equality=equality,
+        equality=check_equality_coverage(trace),
         upper_bounds=tuple(upper_bounds),
     )

@@ -99,6 +99,22 @@ class TestBuild:
                          env_extra={"REPBASIS_SEARCH_CAP": "10"})
         assert result.returncode == 0
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"window": 0, "values": {"0": 1, "00": 0}, "default": 1}',
+            '{"window": 0, "values": {"0": 1}, "default": 1, "default": 2}',
+        ],
+        ids=["aliased_keys", "duplicate_key"],
+    )
+    def test_ambiguous_target_file(self, tmp_path, text):
+        path = tmp_path / "f.json"
+        path.write_text(text)
+        result = run_cli("build", "--f", str(path), "--phi", "log2", "--stages", "1")
+        assert result.returncode == 1
+        assert result.stderr.startswith("ERROR:")
+        assert result.stdout == ""
+
     def test_missing_target_file(self, tmp_path):
         result = run_cli("build", "--f", str(tmp_path / "nope.json"),
                          "--phi", "log2", "--stages", "1")
@@ -132,6 +148,34 @@ class TestVerify:
         result = run_cli("verify", "--trace", str(path))
         assert result.returncode == 1
         assert "MALFORMED_TRACE" in result.stderr
+
+    def test_overlong_integer(self, ones_trace_file):
+        # json cannot write an integer of more than 4300 digits, so splice it in
+        text = ones_trace_file.read_text().replace('"x": 490', '"x": 1' + "0" * 4999)
+        ones_trace_file.write_text(text)
+        result = run_cli("verify", "--trace", str(ones_trace_file))
+        assert result.returncode == 1
+        assert result.stderr.startswith("MALFORMED_TRACE:")
+
+    def test_duplicate_key(self, ones_trace_file):
+        text = ones_trace_file.read_text().replace('"x": 490', '"x": 490, "x": 491')
+        ones_trace_file.write_text(text)
+        result = run_cli("verify", "--trace", str(ones_trace_file))
+        assert result.returncode == 1
+        assert result.stderr.startswith("MALFORMED_TRACE:")
+
+    @pytest.mark.parametrize("added", [[], [5], [5, 6, 7], [5, 6, 7, 8]])
+    def test_extension_added_size(self, ones_trace_file, added):
+        # an extension adds its pair or nothing; any other size is malformed
+        data = json.loads(ones_trace_file.read_text())
+        data["stages"][1]["added"] = added
+        ones_trace_file.write_text(json.dumps(data))
+        result = run_cli("verify", "--trace", str(ones_trace_file))
+        assert result.returncode == 1
+        if added:
+            assert result.stderr.startswith("MALFORMED_TRACE:")
+        else:
+            assert result.stdout.strip().splitlines()[-1] == "FAIL"
 
 
 class TestSidon:

@@ -199,6 +199,11 @@ class TestRepTarget:
         with pytest.raises(ValueError):
             RepTarget.from_dict({"window": 0, "values": {"0": "infinite"}, "default": 1})
 
+    def test_from_dict_rejects_aliased_keys(self):
+        # "0" and "00" both parse to n = 0; neither value may silently win
+        with pytest.raises(ValueError, match="n=0"):
+            RepTarget.from_dict({"window": 0, "values": {"0": 1, "00": 0}, "default": 1})
+
 
 class TestD0:
     def test_no_zeros(self):

@@ -5,8 +5,10 @@ import json
 
 import pytest
 
+import repbasis.verify
 from repbasis import (
     INFINITY,
+    KIND_BASE,
     KIND_DENSIFICATION,
     KIND_EXTENSION,
     FiniteBasis,
@@ -18,6 +20,8 @@ from repbasis import (
     check_decomposition,
     check_equality_coverage,
     check_invariants,
+    counting,
+    sum_counter,
     trace_from_dict,
     trace_to_dict,
     upper_bound_check,
@@ -244,3 +248,83 @@ class TestVerifyTrace:
         report = verify_trace(trace_from_dict(data))
         assert not report.passed
         assert any("condition_3_density" in line for line in report.failures())
+
+
+def _bundle_from_oracles(trace) -> dict:
+    """verify_trace's report, assembled from the public oracles one by one."""
+    decompositions, upper_bounds = [], []
+    prev = None
+    for s in trace.stages:
+        if s.kind != KIND_BASE and len(s.added) > 0:
+            rep = check_decomposition(prev, s.added, s.kind)
+            decompositions.append({"stage": s.index, **rep.to_dict()})
+        for _, x, _ in trace.checkpoints():
+            r = trace.f.max_finite(2 * x)
+            if r is None:
+                continue
+            k = counting(s.set, -x, x)
+            ok = upper_bound_check(s.set, x, r)
+            upper_bounds.append({
+                "condition": "upper_bound",
+                "stage": s.index,
+                "passed": ok,
+                "witness": None if ok else x,
+                "detail": f"k={k}, k(k+1)/2={k * (k + 1) // 2}, bound r(4x+1)={r * (4 * x + 1)}",
+            })
+        prev = s.set
+    invariants = check_invariants(trace).to_dict()
+    equality = check_equality_coverage(trace).to_dict()
+    passed = (invariants["passed"] and equality["passed"]
+              and all(d["passed"] for d in decompositions + upper_bounds))
+    return {"passed": passed, "invariants": invariants, "decompositions": decompositions,
+            "equality": equality, "upper_bounds": upper_bounds}
+
+
+def _drop_inherited(data):
+    # stage 2 loses an element of stage 1, so stages 2 and 3 are not nested
+    stage = data["stages"][1]
+    stage["set"].remove(min(set(stage["set"]) - set(stage["added"])))
+
+
+MUTATIONS = {
+    "none": lambda data: None,
+    "zero": lambda data: data["stages"][2].update(set=sorted(data["stages"][2]["set"] + [0])),
+    "drop_inherited": _drop_inherited,
+    "drop_added": lambda data: data["stages"][2]["added"].pop(),
+    "inflate_x": lambda data: data["stages"][2].update(x=data["stages"][2]["x"] * 10),
+    "shrink_x": lambda data: data["stages"][2].update(x=24),
+    "u_prefix": lambda data: data["u_prefix"].__setitem__(-1, 2),
+    "f_zero": lambda data: data["f"]["values"].update({"0": 0}),
+}
+
+
+class TestOnePass:
+    @pytest.mark.parametrize("mutation", sorted(MUTATIONS))
+    @pytest.mark.parametrize("f, phi", [(F_ONES, LOG2), (F_ZEROS, POW14), (F_TWOS, LOG2)])
+    def test_bundle_matches_the_public_oracles(self, f, phi, mutation):
+        data = trace_to_dict(build(f, phi, 1))
+        MUTATIONS[mutation](data)
+        trace = trace_from_dict(data)
+        expected = _bundle_from_oracles(trace)
+        report = verify_trace(trace)
+        assert json.dumps(report.to_dict(), sort_keys=True) == json.dumps(expected, sort_keys=True)
+        assert report.passed or mutation != "none"
+
+    def test_each_nested_stage_is_counted_once(self, ones_trace, monkeypatch):
+        sizes = []
+        monkeypatch.setattr(
+            repbasis.verify, "sum_counter", lambda A: sizes.append(len(A)) or sum_counter(A)
+        )
+        verify_trace(ones_trace)
+        assert sizes == [len(s.set) for s in ones_trace.stages]
+
+    def test_stages_that_are_not_nested_are_recounted(self, ones_trace, monkeypatch):
+        data = trace_to_dict(ones_trace)
+        _drop_inherited(data)
+        calls = []
+        monkeypatch.setattr(
+            repbasis.verify, "sum_counter", lambda A: calls.append(A) or sum_counter(A)
+        )
+        verify_trace(trace_from_dict(data))
+        # one count per stage plus the unions of stages 2 and 3
+        assert len(calls) == len(data["stages"]) + 2
