@@ -10,6 +10,7 @@ pair-sum count at or below the prescribed bound f.
 from __future__ import annotations
 
 import json
+import math
 import os
 from collections import Counter
 from dataclasses import dataclass
@@ -23,6 +24,7 @@ from .repcore import (
     _unique_keys,
     counting,
     d0_of,
+    density_demand,
     density_exceeds,
     sum_counter,
     target_prefix,
@@ -116,6 +118,36 @@ def _reject_zero_member(A: FiniteBasis, context: str) -> None:
         raise PreconditionViolatedError(f"{context}: 0 must not be an element", witness=0)
 
 
+# The float demand is trusted below this size: its error there stays far
+# under the +1 of slack that _lindstrom_last adds to the count.
+_TRUSTED_DEMAND = 2**40
+
+
+def _lindstrom_last(phi: PhiSpec, scale: int, extra_count: int, limit: int) -> int:
+    """Largest n <= limit, to within a dyadic block, that Lindström's bound
+    cannot rule out; 0 when it rules out every n in [1, limit].
+
+    Every Sidon set in [1, n] has fewer than sqrt(n) + n**(1/4) + 1 elements
+    (Lindström 1969), so for n in a block [lo, hi] the count is at most
+    extra_count + s + ceil(sqrt(s)) with s = ceil(sqrt(hi)).  The demand
+    sqrt(x)/phi(x) increases for x >= 1, so the block is ruled out when that
+    count plus one of slack does not beat the demand at x = scale*lo.
+    """
+    hi = limit
+    while hi >= 1:
+        lo = 1 << (hi.bit_length() - 1)
+        try:
+            trusted = density_demand(scale * hi, phi) < _TRUSTED_DEMAND
+        except OverflowError:
+            trusted = False
+        s = math.isqrt(hi - 1) + 1  # ceil(sqrt(hi))
+        t = math.isqrt(s - 1) + 1  # ceil(sqrt(s))
+        if not trusted or density_exceeds(extra_count + s + t + 1, scale * lo, phi):
+            return hi
+        hi = lo - 1
+    return 0
+
+
 def _density_search(
     phi: PhiSpec,
     scale: int,
@@ -128,23 +160,27 @@ def _density_search(
     x > min_x when given, the best Sidon set D in [1, n] has 4|D|^2 > n,
     and extra_count + |D| strictly beats sqrt(x)/phi(x).
 
+    While |D| stays the same, both rules can only turn false as n grows,
+    so they are evaluated at the first n and wherever |D| grows.  The scan
+    ends at the last n that Lindström's bound leaves open.
+
     Returns (n, x, D).  Raises PhiTooSlowError once x would pass cap.
     """
-    ladder = SidonLadder()
     n = 1 if min_x is None else min_x // scale + 1
-    while True:
-        x = scale * n
-        if x > cap:
-            raise PhiTooSlowError(
-                f"{context}: no x <= {cap} (step {scale}) reaches "
-                f"count > sqrt(x)/phi(x) with phi={phi}",
-                cap=cap,
-            )
+    last = _lindstrom_last(phi, scale, extra_count, cap // scale)
+    if n <= last:
+        ladder = SidonLadder()
         ladder.advance(n)
-        size = ladder.best_size()
-        if 4 * size * size > n and density_exceeds(extra_count + size, x, phi):
-            return n, x, ladder.best_elements()
-        n += 1
+        while n is not None:
+            size = ladder.best_size()
+            if 4 * size * size > n and density_exceeds(extra_count + size, scale * n, phi):
+                return n, scale * n, ladder.best_elements()
+            n = ladder.advance_to_growth(last)
+    raise PhiTooSlowError(
+        f"{context}: no x <= {cap} (step {scale}) reaches "
+        f"count > sqrt(x)/phi(x) with phi={phi}",
+        cap=cap,
+    )
 
 
 def base_case(

@@ -71,8 +71,11 @@ class RepTarget:
         d = self.default
         if isinstance(d, bool) or not (d == INFINITY or (isinstance(d, int) and d >= 1)):
             raise ValueError("default must be an integer >= 1 or INFINITY")
-        expected = set(range(-w, w + 1))
-        if set(self.values) != expected:
+        # 2w + 1 distinct keys, each an integer in [-w, w], cover the window
+        # exactly; checked without building the window, which may be huge
+        if len(self.values) != 2 * w + 1 or not all(
+            isinstance(n, int) and -w <= n <= w for n in self.values
+        ):
             raise ValueError("values must cover exactly the integers with |n| <= window_radius")
         for n, v in self.values.items():
             if not (v == INFINITY or (isinstance(v, int) and not isinstance(v, bool) and v >= 0)):

@@ -114,8 +114,8 @@ def sidon_for_density(n: int) -> SidonSet:
 class SidonLadder:
     """Incremental view of both constructions as the ambient bound grows.
 
-    The admissible-x scans call advance(n) with n increasing one step at a
-    time; recomputing either construction from scratch per step would be
+    The admissible-x scans move the bound forward one step at a time;
+    recomputing either construction from scratch per step would be
     quadratic overall.  The greedy set is extended in place (first-fit is
     prefix-monotone) and the algebraic prime ratchets forward.
     """
@@ -123,24 +123,37 @@ class SidonLadder:
     def __init__(self):
         self._greedy: list[int] = []
         self._sums = bytearray(1)
-        self._candidate = 1
         self._prime = 0
         self._next_q = 2
+        self._next_q_at = 8  # 2 * next_q**2, the bound that admits next_q
         self._n = 0
 
     def advance(self, n: int) -> None:
         if n < self._n:
             raise ValueError("ladder only moves forward")
-        while self._candidate <= n:
-            self._try_add(self._candidate)
-            self._candidate += 1
-        while 2 * self._next_q * self._next_q <= n:
-            if _is_prime(self._next_q):
-                self._prime = self._next_q
-            self._next_q += 1
-        self._n = n
+        while self._n < n:
+            self._step()
 
-    def _try_add(self, c: int) -> None:
+    def advance_to_growth(self, limit: int) -> int | None:
+        """Move the bound to the first n <= limit where best_size() grows and
+        return that n; return None once the bound reaches limit without it."""
+        best = self.best_size()
+        while self._n < limit:
+            self._step()
+            if len(self._greedy) > best or self._prime > best:
+                return self._n
+        return None
+
+    def _step(self) -> None:
+        """Raise the bound by one: ratchet the prime once 2q^2 fits, then
+        offer the new bound to the greedy set as a candidate."""
+        c = self._n = self._n + 1
+        if c == self._next_q_at:
+            q = self._next_q
+            if _is_prime(q):
+                self._prime = q
+            self._next_q = q + 1
+            self._next_q_at = 2 * (q + 1) ** 2
         sums = self._sums
         top = len(sums)
         for e in self._greedy:

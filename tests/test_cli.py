@@ -15,7 +15,7 @@ ONES = {"window": 0, "values": {"0": 1}, "default": 1}
 INF_ORIGIN = {"window": 0, "values": {"0": "inf"}, "default": 1}
 
 
-def run_cli(*args, env_extra=None, check=False):
+def run_cli(*args, env_extra=None, check=False, timeout=None):
     env = dict(os.environ)
     env.pop("REPBASIS_SEARCH_CAP", None)
     if env_extra:
@@ -25,6 +25,7 @@ def run_cli(*args, env_extra=None, check=False):
         capture_output=True,
         text=True,
         env=env,
+        timeout=timeout,
     )
     if check:
         assert result.returncode == 0, result.stderr
@@ -115,6 +116,23 @@ class TestBuild:
         assert result.stderr.startswith("ERROR:")
         assert result.stdout == ""
 
+    def test_huge_window_target_file(self, tmp_path):
+        # a window of 10**9 named in a few bytes is rejected without building it
+        path = tmp_path / "f.json"
+        path.write_text('{"window": 1000000000, "values": {"0": 1}, "default": 1}')
+        result = run_cli("build", "--f", str(path), "--phi", "log2", "--stages", "1",
+                         timeout=60)
+        assert result.returncode == 1
+        assert result.stderr.startswith("ERROR:")
+
+    def test_hopeless_phi_aborts_at_default_cap(self, ones_file):
+        # Lindström's bound rules out every x up to 10**9 before any scan
+        result = run_cli("build", "--f", str(ones_file), "--phi", "clog:1/100",
+                         "--stages", "1")
+        assert result.returncode == 1
+        assert "PHI_TOO_SLOW" in result.stderr
+        assert "1000000000" in result.stderr
+
     def test_missing_target_file(self, tmp_path):
         result = run_cli("build", "--f", str(tmp_path / "nope.json"),
                          "--phi", "log2", "--stages", "1")
@@ -154,6 +172,14 @@ class TestVerify:
         text = ones_trace_file.read_text().replace('"x": 490', '"x": 1' + "0" * 4999)
         ones_trace_file.write_text(text)
         result = run_cli("verify", "--trace", str(ones_trace_file))
+        assert result.returncode == 1
+        assert result.stderr.startswith("MALFORMED_TRACE:")
+
+    def test_huge_window(self, ones_trace_file):
+        data = json.loads(ones_trace_file.read_text())
+        data["f"]["window"] = 10**9
+        ones_trace_file.write_text(json.dumps(data))
+        result = run_cli("verify", "--trace", str(ones_trace_file), timeout=60)
         assert result.returncode == 1
         assert result.stderr.startswith("MALFORMED_TRACE:")
 

@@ -1,6 +1,7 @@
 """Stage operations, the full build loop, and trace (de)serialization."""
 
 import dataclasses
+import itertools
 import json
 
 import pytest
@@ -30,7 +31,14 @@ from repbasis import (
     trace_to_dict,
     validate_trace_structure,
 )
-from repbasis.construct import expected_kind, expected_m_covered
+from repbasis.construct import (
+    _density_search,
+    _lindstrom_last,
+    expected_kind,
+    expected_m_covered,
+)
+from repbasis.repcore import density_exceeds
+from repbasis.sidon import SidonLadder
 
 F_ONES = RepTarget.constant(1)
 F_TWOS = RepTarget.constant(2)
@@ -365,3 +373,76 @@ class TestTraceParsingRejections:
             data = json.loads(json.dumps(trace_dict))
             data["stages"][0]["set"] = bad
             _expect_malformed(data)
+
+
+def _per_n_search(phi, scale, extra_count, min_x, cap, context):
+    """The scan as a plain loop: advance the ladder and test both rules at
+    every n until one passes or x passes the cap."""
+    ladder = SidonLadder()
+    n = 1 if min_x is None else min_x // scale + 1
+    while True:
+        x = scale * n
+        if x > cap:
+            raise PhiTooSlowError(
+                f"{context}: no x <= {cap} (step {scale}) reaches "
+                f"count > sqrt(x)/phi(x) with phi={phi}",
+                cap=cap,
+            )
+        ladder.advance(n)
+        size = ladder.best_size()
+        if 4 * size * size > n and density_exceeds(extra_count + size, x, phi):
+            return n, x, ladder.best_elements()
+        n += 1
+
+
+def _outcome(search, *args):
+    try:
+        n, x, D = search(*args)
+    except PhiTooSlowError as exc:
+        return ("abort", str(exc), exc.cap)
+    return (n, x, D.elements, D.ambient_n)
+
+
+class TestDensitySearch:
+    PHIS = ("log2", "ln", "pow:1/4", "pow:9/20", "pow:1/50", "clog:1/100", "clog:3",
+            "clog:1/1000000000000000000000000000000")
+
+    def test_matches_per_n_scan(self):
+        # the last phi's demand is never below 2**40, so its scans run without
+        # the early abort; caps over 20000 steps keep the per-n loop fast
+        grid = itertools.product(
+            self.PHIS, (1, 7, 24, 90, 500), (0, 2, 9), (None, 4321), (1, 500, 20000, 300000)
+        )
+        aborts = successes = 0
+        for phi, scale, extra, min_x, cap in grid:
+            if cap // scale > 20000:
+                continue
+            args = (PhiSpec.parse(phi), scale, extra, min_x, cap, "scan")
+            want = _outcome(_per_n_search, *args)
+            assert _outcome(_density_search, *args) == want, args
+            aborts += want[0] == "abort"
+            successes += want[0] != "abort"
+        assert aborts > 100 and successes > 100
+
+    def test_hopeless_phi_aborts_without_scanning(self, monkeypatch):
+        advanced = []
+        original = SidonLadder.advance
+
+        def spy(self, n):
+            advanced.append(n)
+            return original(self, n)
+
+        monkeypatch.setattr(SidonLadder, "advance", spy)
+        with pytest.raises(PhiTooSlowError) as err:
+            _density_search(PhiSpec.parse("clog:1/100"), 24, 2, None, 10**9, "scan")
+        assert err.value.cap == 10**9
+        assert advanced == []
+
+    def test_lindstrom_last(self):
+        # clog:1/100 asks for about 100*sqrt(x)/ln(x), far past any Sidon set
+        assert _lindstrom_last(PhiSpec.parse("clog:1/100"), 24, 2, 10**9 // 24) == 0
+        assert _lindstrom_last(LOG2, 24, 2, 0) == 0
+        # a demand past 2**40, or one too large for a float, is not trusted
+        tiny = PhiSpec.parse("clog:1/1000000000000000000000000000000")
+        assert _lindstrom_last(tiny, 24, 2, 10**6) == 10**6
+        assert _lindstrom_last(PhiSpec.parse("pow:49/100"), 1, 0, 10**700) == 10**700

@@ -175,6 +175,14 @@ class TestRepTarget:
         with pytest.raises(ValueError):
             RepTarget(True, {-1: 1, 0: 1, 1: 1}, 1)
 
+    def test_window_checked_without_building_it(self):
+        with pytest.raises(ValueError):
+            RepTarget(10**12, {0: 1}, 1)
+        with pytest.raises(ValueError):
+            RepTarget(1, {-1: 1, 0: 1, 2: 1}, 1)  # right size, one key outside
+        with pytest.raises(ValueError):
+            RepTarget(1, {-1: 1, 0.0: 1, 1: 1}, 1)  # a key that is not an int
+
     def test_round_trip(self):
         f = RepTarget(1, {-1: 0, 0: INFINITY, 1: 3}, 2)
         data = f.to_dict()

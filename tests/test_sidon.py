@@ -140,3 +140,36 @@ class TestSidonLadder:
         first = ladder.greedy_prefix()
         ladder.advance(50)
         assert ladder.greedy_prefix() == first
+
+    def test_advance_to_growth_stops_where_size_first_grows(self):
+        limit = 5000
+        reference = SidonLadder()
+        sizes = []
+        for n in range(limit + 1):
+            reference.advance(n)
+            sizes.append(reference.best_size())
+        growth = [n for n in range(1, limit + 1) if sizes[n] > sizes[n - 1]]
+
+        # one ladder walked from growth point to growth point passes every n
+        ladder, seen = SidonLadder(), []
+        while (n := ladder.advance_to_growth(limit)) is not None:
+            seen.append(n)
+            fresh = SidonLadder()
+            fresh.advance(n)
+            assert ladder.greedy_prefix() == fresh.greedy_prefix()
+            assert ladder.best_elements() == fresh.best_elements()
+        assert seen == growth
+        assert ladder.best_elements() == reference.best_elements()
+
+        # from other starts, with limits before and at the next growth point
+        for start in range(0, limit, 97):
+            after = next((g for g in growth if g > start), None)
+            for stop in (start, after - 1, after) if after else (limit,):
+                ladder = SidonLadder()
+                ladder.advance(start)
+                got = ladder.advance_to_growth(stop)
+                assert got == (after if stop == after else None), (start, stop)
+                ref = SidonLadder()
+                ref.advance(max(start, stop))
+                assert ladder.greedy_prefix() == ref.greedy_prefix()
+                assert ladder.best_elements() == ref.best_elements()
