@@ -10,7 +10,7 @@ import sys
 
 from .construct import build, trace_dumps, trace_loads
 from .errors import RepbasisError
-from .repcore import PhiSpec, RepTarget, _unique_keys, counting, density_demand
+from .repcore import PhiSpec, RepTarget, _unique_keys, counting, density_demand, real_sqrt
 from .sidon import erdos_turan_sidon, greedy_sidon, sidon_for_density
 from .verify import verify_trace
 
@@ -107,7 +107,7 @@ def _cmd_stats(args) -> int:
         demand = density_demand(x, trace.phi)
         ratio = count / demand
         r = trace.f.max_finite(2 * x)
-        ceiling = math.inf if r is None else math.sqrt(2 * r * (4 * x + 1))
+        ceiling = math.inf if r is None else real_sqrt(2 * r * (4 * x + 1))
         lines.append(
             f"{x},{count},{_format_value(demand)},{_format_value(ratio)},{_format_value(ceiling)}"
         )

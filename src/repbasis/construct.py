@@ -121,6 +121,9 @@ def _reject_zero_member(A: FiniteBasis, context: str) -> None:
 # The float demand is trusted below this size: its error there stays far
 # under the +1 of slack that _lindstrom_last adds to the count.
 _TRUSTED_DEMAND = 2**40
+# It is trusted only below this x as well: past it sqrt(x) leaves the float
+# range, and the demand is taken in log space with an error that grows with x.
+_TRUSTED_X = 2**2048
 
 
 def _lindstrom_last(phi: PhiSpec, scale: int, extra_count: int, limit: int) -> int:
@@ -136,10 +139,8 @@ def _lindstrom_last(phi: PhiSpec, scale: int, extra_count: int, limit: int) -> i
     hi = limit
     while hi >= 1:
         lo = 1 << (hi.bit_length() - 1)
-        try:
-            trusted = density_demand(scale * hi, phi) < _TRUSTED_DEMAND
-        except OverflowError:
-            trusted = False
+        x = scale * hi
+        trusted = x < _TRUSTED_X and density_demand(x, phi) < _TRUSTED_DEMAND
         s = math.isqrt(hi - 1) + 1  # ceil(sqrt(hi))
         t = math.isqrt(s - 1) + 1  # ceil(sqrt(s))
         if not trusted or density_exceeds(extra_count + s + t + 1, scale * lo, phi):

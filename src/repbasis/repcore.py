@@ -11,6 +11,7 @@ from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import chain
 from typing import Iterable, Iterator, Mapping
 
 from .errors import EmptySetError
@@ -188,13 +189,12 @@ def rep_function(A: FiniteBasis, n: int) -> int:
 
 
 def sum_counter(A: FiniteBasis) -> Counter:
-    """Multiplicity of every realized pair sum a <= b over A."""
-    counts: Counter = Counter()
+    """Multiplicity of every realized pair sum a <= b over A.
+
+    Every pair is enumerated, in the order of the double loop over
+    i <= j, but Counter tallies them in one C-level pass."""
     els = A.elements
-    for i, a in enumerate(els):
-        for b in els[i:]:
-            counts[a + b] += 1
-    return counts
+    return Counter(chain.from_iterable(map(a.__add__, els[i:]) for i, a in enumerate(els)))
 
 
 def rep_profile(A: FiniteBasis) -> dict[int, int]:
@@ -334,18 +334,39 @@ class PhiSpec:
         return math.exp(float(self.parameter) * math.log(x))
 
 
+def _exp(log_value: float) -> float:
+    """e**log_value, or math.inf when that passes the float range."""
+    try:
+        return math.exp(log_value)
+    except OverflowError:
+        return math.inf
+
+
 def real_sqrt(x) -> float:
+    """sqrt(x) as a float, or math.inf when that passes the float range."""
     if x < 0:
         raise ValueError("sqrt of negative value")
     try:
         return math.sqrt(x)
     except OverflowError:
-        return math.exp(0.5 * math.log(x))
+        return _exp(0.5 * math.log(x))
 
 
 def density_demand(x, phi: PhiSpec) -> float:
-    """The bar sqrt(x)/phi(x) that a count must strictly exceed."""
-    return real_sqrt(x) / phi.evaluate(x)
+    """The bar sqrt(x)/phi(x) that a count must strictly exceed.
+
+    Once sqrt(x) passes the float range the bar is taken in log space, and
+    it is math.inf only when the bar itself passes the float range: no
+    count a finite set can hold comes near it, so no verdict turns on it.
+    """
+    root = real_sqrt(x)
+    if root < INFINITY:
+        return root / phi.evaluate(x)
+    if phi.kind == "pow":
+        log_phi = float(phi.parameter) * math.log(x)
+    else:
+        log_phi = math.log(phi.evaluate(x))
+    return _exp(0.5 * math.log(x) - log_phi)
 
 
 def density_exceeds(count: int, x, phi: PhiSpec) -> bool:

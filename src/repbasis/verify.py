@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from itertools import combinations_with_replacement
+from itertools import chain, combinations_with_replacement
 
 from .construct import (
     KIND_BASE,
@@ -23,6 +23,7 @@ from .construct import (
 from .errors import MalformedTraceError, PreconditionViolatedError
 from .repcore import (
     FiniteBasis,
+    RepTarget,
     counting,
     density_demand,
     density_exceeds,
@@ -105,12 +106,18 @@ def check_invariants(trace: ConstructionTrace) -> InvariantReport:
     with a concrete integer witness.
     """
     validate_trace_structure(trace)
+    floor = _smallest_value(trace.f)
     checks: list[CheckResult] = []
     prev: FiniteBasis | None = None
     for s in trace.stages:
-        checks += _stage_invariants(trace, s, prev, sum_counter(s.set))
+        checks += _stage_invariants(trace, s, prev, sum_counter(s.set), floor)
         prev = s.set
     return InvariantReport(tuple(checks + _trace_invariants(trace)))
+
+
+def _smallest_value(f: RepTarget) -> int | float:
+    """The smallest value f prescribes anywhere."""
+    return min(min(f.values.values()), f.default)
 
 
 def _stage_invariants(
@@ -118,9 +125,11 @@ def _stage_invariants(
     s: StageRecord,
     prev: FiniteBasis | None,
     counts: Counter,
+    floor: int | float,
 ) -> list[CheckResult]:
     """Zero-freeness, nesting, pair bound, coverage and density of one stage;
-    `counts` is the stage's pair-sum Counter."""
+    `counts` is the stage's pair-sum Counter and `floor` is
+    _smallest_value(trace.f)."""
     f = trace.f
     checks: list[CheckResult] = []
     if 0 in s.set:
@@ -130,7 +139,12 @@ def _stage_invariants(
 
     checks.append(_nesting_check(s, prev))
 
-    n = min((n for n, r in counts.items() if r > f.value(n)), default=None)
+    # counts that all stay within the smallest prescribed value meet every
+    # bound; any larger count sends the check through the per-sum scan
+    if max(counts.values(), default=0) <= floor:
+        n = None
+    else:
+        n = min((n for n, r in counts.items() if r > f.value(n)), default=None)
     if n is not None:
         detail = f"rep count {counts[n]} exceeds prescribed {f.value(n)} at n={n}"
         checks.append(_fail(COND_PAIR_BOUND, s.index, n, detail))
@@ -262,18 +276,20 @@ def _decomposition(
     checks.append(_disjoint_check("cross_self_disjoint", cross, self_part, exempt=None))
     checks.append(_disjoint_check("old_self_disjoint", old_sums, self_part, exempt=u))
 
-    support = sorted(set(old_sums) | set(cross) | set(self_part))
+    # the piecewise formula on every old, cross and self sum: 1 on a new sum,
+    # the old count on an old one, one more than that at the covered target
+    expected = dict.fromkeys(chain(cross, self_part), 1)
+    expected.update(old_sums)
+    if u is not None:
+        expected[u] = old_sums[u] + 1
+    # one C-level comparison settles a full match; any other outcome is
+    # decided, and its smallest witness named, by the per-sum scan
     mismatch = None
-    for n in support:
-        if kind == KIND_EXTENSION and n == u:
-            expected = old_sums[n] + 1
-        elif n in old_sums:
-            expected = old_sums[n]
-        else:
-            expected = 1
-        if actual[n] != expected:
-            mismatch = (n, expected, actual[n])
-            break
+    if not dict.__eq__(expected, actual):
+        mismatch = next(
+            ((n, expected[n], actual[n]) for n in sorted(expected) if actual[n] != expected[n]),
+            None,
+        )
     if mismatch:
         n, expected, got = mismatch
         detail = f"rep count at n={n} is {got}, piecewise formula gives {expected}"
@@ -292,7 +308,8 @@ def _unique_part_check(name: str, part: Counter) -> CheckResult:
 
 
 def _disjoint_check(name: str, left: Counter, right: Counter, exempt: int | None) -> CheckResult:
-    overlap = set(left) & set(right)
+    # C-level intersection that probes the smaller key view in the larger
+    overlap = left.keys() & right.keys()
     if exempt is not None:
         overlap.discard(exempt)
     if overlap:
@@ -426,6 +443,7 @@ def verify_trace(trace: ConstructionTrace) -> VerificationReport:
     """
     validate_trace_structure(trace)
     bounds = [(x, trace.f.max_finite(2 * x)) for _, x, _ in trace.checkpoints()]
+    floor = _smallest_value(trace.f)
     invariants: list[CheckResult] = []
     decompositions = []
     upper_bounds: list[CheckResult] = []
@@ -433,7 +451,7 @@ def verify_trace(trace: ConstructionTrace) -> VerificationReport:
     prev = prev_counts = None
     for s in trace.stages:
         counts = sum_counter(s.set)
-        invariants += _stage_invariants(trace, s, prev, counts)
+        invariants += _stage_invariants(trace, s, prev, counts, floor)
         if s.kind != KIND_BASE and len(s.added) > 0:
             decompositions.append((s.index, _stage_decomposition(prev, prev_counts, s, counts)))
         for x, r in bounds:

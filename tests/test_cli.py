@@ -175,6 +175,18 @@ class TestVerify:
         assert result.returncode == 1
         assert result.stderr.startswith("MALFORMED_TRACE:")
 
+    def test_checkpoint_past_the_float_range(self, ones_trace_file):
+        # sqrt(10**4000)/log2(10**4000) is past the float range, so no count clears it
+        x = 10**4000
+        data = json.loads(ones_trace_file.read_text())
+        data["stages"][2]["x"] = x
+        ones_trace_file.write_text(json.dumps(data))
+        result = run_cli("verify", "--trace", str(ones_trace_file))
+        assert result.returncode == 1
+        lines = result.stdout.strip().splitlines()
+        assert lines[-1] == "FAIL"
+        assert any(line.startswith(f"FAIL condition_3_density stage=3 witness={x}:") for line in lines)
+
     def test_huge_window(self, ones_trace_file):
         data = json.loads(ones_trace_file.read_text())
         data["f"]["window"] = 10**9
@@ -246,6 +258,23 @@ class TestStats:
                 f"{math.sqrt(2 * (4 * x + 1)):.6f}"
             )
         assert lines[1:] == expected
+
+    @pytest.mark.parametrize("digits", [400, 4000])
+    def test_rows_past_the_float_range(self, ones_trace_file, digits):
+        x = 10**digits
+        data = json.loads(ones_trace_file.read_text())
+        data["stages"][2]["x"] = x
+        ones_trace_file.write_text(json.dumps(data))
+        result = run_cli("stats", "--trace", str(ones_trace_file), check=True)
+        row = result.stdout.strip().splitlines()[-1].split(",")
+        assert row[:2] == [str(x), "6"]
+        demand, ratio, ceiling = map(float, row[2:])
+        if digits == 400:
+            assert demand == pytest.approx(1e200 / (400 * math.log2(10)), rel=1e-9)
+            assert ceiling == pytest.approx(math.sqrt(8) * 1e200, rel=1e-9)
+        else:
+            # the bar and sqrt(8x) themselves pass the float range
+            assert (demand, ratio, ceiling) == (math.inf, 0.0, math.inf)
 
     def test_ratios_exceed_one(self, ones_trace_file):
         result = run_cli("stats", "--trace", str(ones_trace_file), check=True)

@@ -24,7 +24,9 @@ from repbasis import (  # noqa: E402
 
 BASE = trace_to_dict(build(RepTarget.constant(1), PhiSpec.parse("pow:1/4"), 1))
 
-INTS = st.integers(-10**4, 10**4) | st.sampled_from([0, 1, -1, 10**12, -(10**12)])
+INTS = st.integers(-10**4, 10**4) | st.sampled_from(
+    [0, 1, -1, 10**12, -(10**12), 10**700, -(10**700)]
+)
 ELEMENTS = st.lists(INTS, max_size=8, unique=True).map(sorted)
 # values of the wrong type reach the parser's type checks
 JUNK = st.sampled_from([None, True, 1.5, "7", [], {}])

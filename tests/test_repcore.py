@@ -1,6 +1,8 @@
 """Counting primitives, prescribed-count targets, and the density bar."""
 
 import math
+import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -64,6 +66,30 @@ class TestSumCounter:
         A = basis(-7, -1, 2, 5, 11, 12)
         k = len(A)
         assert sum(sum_counter(A).values()) == k * (k + 1) // 2
+
+    @staticmethod
+    def _double_loop(A):
+        """The reference: one Counter update per pair a <= b."""
+        counts = Counter()
+        els = A.elements
+        for i, a in enumerate(els):
+            for b in els[i:]:
+                counts[a + b] += 1
+        return counts
+
+    def test_matches_the_double_loop(self):
+        rng = random.Random(5)
+        sets = [FiniteBasis(), basis(-3), basis(7), basis(-10**30, 10**30)]
+        for _ in range(60):
+            reach = 10 ** rng.randrange(1, 20)
+            sets.append(basis(*(rng.randrange(-reach, reach) for _ in range(rng.randrange(2, 60)))))
+        for A in sets:
+            expected = self._double_loop(A)
+            got = sum_counter(A)
+            assert type(got) is Counter
+            assert got == expected
+            # the same first-occurrence order, so iteration over the sums agrees too
+            assert list(got.items()) == list(expected.items())
 
 
 class TestRepProfile:
@@ -325,6 +351,19 @@ class TestDensityBar:
         assert density_exceeds(10, x, PhiSpec.parse("log2")) is False
         with pytest.raises(ValueError):
             real_sqrt(-1)
+
+    def test_demand_past_the_float_range(self):
+        # sqrt(x) passes the float range near x = 10**617; the bar does later
+        log2, pow49 = PhiSpec.parse("log2"), PhiSpec.parse("pow:49/100")
+        assert real_sqrt(10**620) == INFINITY
+        assert density_demand(10**620, log2) == pytest.approx(
+            math.exp(310 * math.log(10) - math.log(620 * math.log2(10))), rel=1e-9
+        )
+        assert density_demand(10**4000, pow49) == pytest.approx(1e40, rel=1e-9)
+        assert density_demand(10**4000, log2) == INFINITY
+        assert not density_exceeds(10**400, 10**4000, log2)
+        assert density_exceeds(10**41, 10**4000, pow49)
+        assert not density_exceeds(10**39, 10**4000, pow49)
 
     def test_default_cap_constant(self):
         assert DEFAULT_SEARCH_CAP == 10**9

@@ -2,6 +2,8 @@
 
 import copy
 import json
+from collections import Counter
+from itertools import combinations_with_replacement
 
 import pytest
 
@@ -31,6 +33,7 @@ from repbasis import (
 F_ONES = RepTarget.constant(1)
 F_TWOS = RepTarget.constant(2)
 F_ZEROS = RepTarget(2, {n: 0 for n in range(-2, 3)}, 1)
+F_INF_DEFAULT = RepTarget(1, {-1: 1, 0: 1, 1: 1}, INFINITY)
 LOG2 = PhiSpec.parse("log2")
 POW14 = PhiSpec.parse("pow:1/4")
 
@@ -163,6 +166,26 @@ class TestDecomposition:
         assert not report.passed
         assert ("old_cross_disjoint", 4) in _failed_conditions(report)
 
+    @pytest.mark.parametrize(
+        "A, added, kind",
+        [
+            ((1, 2, 3, 4), (5,), KIND_DENSIFICATION),  # cross sum 6 meets an old sum counted twice
+            ((1, 2, 3, 4), (-1, 6), KIND_EXTENSION),  # the covered target 5 is counted twice
+            ((1, 2, 3, 4), (2, 7), KIND_DENSIFICATION),  # an added element is already present
+            ((1, 2), (10, 20, 40, 80, 130), KIND_DENSIFICATION),
+            ((-4, 4), (-17, 17), KIND_EXTENSION),
+            ((), (-9, 9), KIND_EXTENSION),
+        ],
+    )
+    def test_matches_the_per_sum_references(self, A, added, kind):
+        A = FiniteBasis(A)
+        checks = {c.condition: c for c in check_decomposition(A, added, kind).checks}
+        witnesses, detail = _reference_decomposition(A, added, kind, sum_counter(A.union(added)))
+        for name, witness in witnesses.items():
+            assert (checks[name].passed, checks[name].witness) == (witness is None, witness)
+        if detail is not None:
+            assert checks["piecewise_formula"].detail == detail
+
     def test_empty_added_rejected(self):
         with pytest.raises(PreconditionViolatedError):
             check_decomposition(FiniteBasis((1, 2)), (), KIND_DENSIFICATION)
@@ -280,14 +303,61 @@ def _bundle_from_oracles(trace) -> dict:
             "equality": equality, "upper_bounds": upper_bounds}
 
 
+def _reference_pair_bound(counts, f):
+    """The per-sum scan: the smallest n whose count exceeds f(n), or None."""
+    return min((n for n, r in counts.items() if r > f.value(n)), default=None)
+
+
+def _reference_decomposition(A, added, kind, actual):
+    """Witnesses (None for a pass) of the disjointness checks and the sorted
+    piecewise walk, written out sum by sum over A plus `added`, and the
+    piecewise walk's detail when it fails."""
+    added = sorted(added)
+    old = sum_counter(A)
+    cross = Counter(a + t for a in A for t in added)
+    self_part = Counter(s + t for s, t in combinations_with_replacement(added, 2))
+    u = added[0] + added[1] if kind == KIND_EXTENSION else None
+    witnesses = {}
+    for name, left, right, exempt in (("old_cross_disjoint", old, cross, None),
+                                      ("cross_self_disjoint", cross, self_part, None),
+                                      ("old_self_disjoint", old, self_part, u)):
+        overlap = set(left) & set(right)
+        overlap.discard(exempt)
+        witnesses[name] = min(overlap, default=None)
+    witnesses["piecewise_formula"] = detail = None
+    for n in sorted(set(old) | set(cross) | set(self_part)):
+        if kind == KIND_EXTENSION and n == u:
+            expected = old[n] + 1
+        elif n in old:
+            expected = old[n]
+        else:
+            expected = 1
+        if actual[n] != expected:
+            witnesses["piecewise_formula"] = n
+            detail = f"rep count at n={n} is {actual[n]}, piecewise formula gives {expected}"
+            break
+    return witnesses, detail
+
+
 def _drop_inherited(data):
     # stage 2 loses an element of stage 1, so stages 2 and 3 are not nested
     stage = data["stages"][1]
     stage["set"].remove(min(set(stage["set"]) - set(stage["added"])))
 
 
+def _collide(data):
+    # stage 3 adjoins e = b + c - a, so a + e = b + c is represented twice
+    stage = data["stages"][2]
+    els = stage["set"]
+    e = next(b + c - a for a in els for b in els for c in els
+             if a < b < c and b + c != a and b + c - a not in els)
+    stage["set"] = sorted(els + [e])
+    stage["added"] = sorted(stage["added"] + [e])
+
+
 MUTATIONS = {
     "none": lambda data: None,
+    "collide": _collide,
     "zero": lambda data: data["stages"][2].update(set=sorted(data["stages"][2]["set"] + [0])),
     "drop_inherited": _drop_inherited,
     "drop_added": lambda data: data["stages"][2]["added"].pop(),
@@ -298,9 +368,14 @@ MUTATIONS = {
 }
 
 
+# f and phi of the one-round builds that TestOnePass mutates; the smallest
+# value f prescribes is 1, 0, 2 and 1, the default of the last is INFINITY
+BUILT = [(F_ONES, LOG2), (F_ZEROS, POW14), (F_TWOS, LOG2), (F_INF_DEFAULT, LOG2)]
+
+
 class TestOnePass:
     @pytest.mark.parametrize("mutation", sorted(MUTATIONS))
-    @pytest.mark.parametrize("f, phi", [(F_ONES, LOG2), (F_ZEROS, POW14), (F_TWOS, LOG2)])
+    @pytest.mark.parametrize("f, phi", BUILT)
     def test_bundle_matches_the_public_oracles(self, f, phi, mutation):
         data = trace_to_dict(build(f, phi, 1))
         MUTATIONS[mutation](data)
@@ -309,6 +384,33 @@ class TestOnePass:
         report = verify_trace(trace)
         assert json.dumps(report.to_dict(), sort_keys=True) == json.dumps(expected, sort_keys=True)
         assert report.passed or mutation != "none"
+
+    @pytest.mark.parametrize("mutation", sorted(MUTATIONS))
+    @pytest.mark.parametrize("f, phi", BUILT)
+    def test_checks_match_the_per_sum_references(self, f, phi, mutation):
+        data = trace_to_dict(build(f, phi, 1))
+        MUTATIONS[mutation](data)
+        trace = trace_from_dict(data)
+        report = verify_trace(trace)
+        pair_bounds = [c for c in report.invariants.checks if c.condition == "condition_1_pair_bound"]
+        expected = [_reference_pair_bound(sum_counter(s.set), trace.f) for s in trace.stages]
+        assert [(c.passed, c.witness) for c in pair_bounds] == [(w is None, w) for w in expected]
+        prev, decompositions = None, dict(report.decompositions)
+        for s in trace.stages:
+            if s.index in decompositions:
+                checks = {c.condition: c for c in decompositions[s.index].checks}
+                union = prev.union(s.added)
+                actual = sum_counter(s.set if union == s.set else union)
+                witnesses, detail = _reference_decomposition(prev, s.added, s.kind, actual)
+                for name, witness in witnesses.items():
+                    assert (checks[name].passed, checks[name].witness) == (witness is None, witness)
+                if detail is not None:
+                    assert checks["piecewise_formula"].detail == detail
+            prev = s.set
+        if mutation == "collide":
+            # the whole-Counter comparisons fail here, so the scans name the witness
+            assert not checks["piecewise_formula"].passed
+            assert pair_bounds[2].passed == (f is F_TWOS)
 
     def test_each_nested_stage_is_counted_once(self, ones_trace, monkeypatch):
         sizes = []
