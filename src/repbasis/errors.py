@@ -15,6 +15,10 @@ class InputTooSmallError(RepbasisError):
     code = "INPUT_TOO_SMALL"
 
 
+class InputTooLargeError(RepbasisError):
+    code = "INPUT_TOO_LARGE"
+
+
 class DensityUnreachableError(RepbasisError):
     code = "DENSITY_UNREACHABLE"
 

@@ -14,7 +14,7 @@ from fractions import Fraction
 from itertools import chain
 from typing import Iterable, Iterator, Mapping
 
-from .errors import EmptySetError
+from .errors import EmptySetError, InputTooLargeError
 
 # Sentinel for "no finite bound at this n".  A plain float keeps min(),
 # comparisons and JSON handling unsurprising.
@@ -23,6 +23,9 @@ INFINITY = math.inf
 # Strict comparisons against sqrt(x)/phi(x) must clear this margin before a
 # float verdict is trusted; ties and hairline wins count as failures.
 DENSITY_MARGIN = 1e-9
+
+# rep_profile refuses windows past this many entries rather than exhaust memory
+PROFILE_WINDOW_LIMIT = 10**6
 
 
 def is_infinite(value) -> bool:
@@ -201,11 +204,16 @@ def rep_profile(A: FiniteBasis) -> dict[int, int]:
     """Pair-sum counts over the canonical window [-2*max|a|, 2*max|a|].
 
     Every n in the window appears, zeros included.  The window has
-    4*max|a| + 1 entries, so this is meant for small sets.
+    4*max|a| + 1 entries, so this is meant for small sets; past
+    PROFILE_WINDOW_LIMIT entries it raises InputTooLargeError.
     """
     if not A.elements:
         raise EmptySetError("rep_profile needs a non-empty set")
     reach = 2 * A.max_abs()
+    if 2 * reach + 1 > PROFILE_WINDOW_LIMIT:
+        raise InputTooLargeError(
+            f"rep_profile window of {2 * reach + 1} entries exceeds {PROFILE_WINDOW_LIMIT}"
+        )
     profile = {n: 0 for n in range(-reach, reach + 1)}
     profile.update(sum_counter(A))
     return profile
@@ -299,6 +307,14 @@ class PhiSpec:
         elif self.kind == "clog":
             if self.parameter is None or self.parameter <= 0:
                 raise ValueError("clog coefficient must be positive")
+        if self.parameter is not None:
+            # phi is evaluated in floats, so the parameter must be one
+            try:
+                as_float = float(self.parameter)
+            except OverflowError:
+                as_float = math.inf
+            if not 0 < as_float < math.inf:
+                raise ValueError(f"phi parameter {self.parameter} is outside the float range")
 
     @classmethod
     def parse(cls, text: str) -> "PhiSpec":

@@ -114,15 +114,27 @@ def sidon_for_density(n: int) -> SidonSet:
 class SidonLadder:
     """Incremental view of both constructions as the ambient bound grows.
 
-    The admissible-x scans move the bound forward one step at a time;
-    recomputing either construction from scratch per step would be
-    quadratic overall.  The greedy set is extended in place (first-fit is
-    prefix-monotone) and the algebraic prime ratchets forward.
+    The admissible-x scans move the bound forward; recomputing either
+    construction from scratch per bound would be quadratic overall.  The
+    greedy set is extended in place (first-fit is prefix-monotone) and the
+    algebraic prime ratchets forward at each bound 2q^2.
+
+    The ladder never visits the bounds in between: it jumps from one event
+    (the next greedy element, the next ratchet bound, the caller's limit) to
+    the next.  A candidate c above the newest element g fails first-fit
+    exactly when c = b + d for an element b and a difference d = a - e of
+    elements e < a <= b (2c exceeds every pair sum).  So three int bitsets
+    find the next greedy element at once: `_below` has bit j when g - j is
+    an element, `_diffs` bit d for each difference (bit 0 included), and
+    `_window` bit j when g + j is forbidden.  Adding g shifts `_below` up
+    and `_window` down by the gap, ORs `_below` into `_diffs` and `_diffs`
+    into `_window`; the lowest zero bit of `_window` is the next element.
     """
 
     def __init__(self):
         self._greedy: list[int] = []
-        self._sums = bytearray(1)
+        self._below = self._diffs = self._window = 0
+        self._next = 1  # the smallest greedy element not yet added
         self._prime = 0
         self._next_q = 2
         self._next_q_at = 8  # 2 * next_q**2, the bound that admits next_q
@@ -131,44 +143,44 @@ class SidonLadder:
     def advance(self, n: int) -> None:
         if n < self._n:
             raise ValueError("ladder only moves forward")
-        while self._n < n:
-            self._step()
+        while self._next <= n:
+            self._add_next()
+        while self._next_q_at <= n:
+            self._ratchet()
+        self._n = n
 
     def advance_to_growth(self, limit: int) -> int | None:
         """Move the bound to the first n <= limit where best_size() grows and
         return that n; return None once the bound reaches limit without it."""
         best = self.best_size()
-        while self._n < limit:
-            self._step()
-            if len(self._greedy) > best or self._prime > best:
-                return self._n
+        while (n := min(self._next, self._next_q_at)) <= limit:
+            self._n = n
+            if n == self._next_q_at:
+                self._ratchet()
+            if n == self._next:
+                self._add_next()
+            if self.best_size() > best:
+                return n
+        self._n = max(self._n, limit)
         return None
 
-    def _step(self) -> None:
-        """Raise the bound by one: ratchet the prime once 2q^2 fits, then
-        offer the new bound to the greedy set as a candidate."""
-        c = self._n = self._n + 1
-        if c == self._next_q_at:
-            q = self._next_q
-            if _is_prime(q):
-                self._prime = q
-            self._next_q = q + 1
-            self._next_q_at = 2 * (q + 1) ** 2
-        sums = self._sums
-        top = len(sums)
-        for e in self._greedy:
-            s = c + e
-            if s < top and sums[s]:
-                return
-        if 2 * c < top and sums[2 * c]:
-            return
-        need = 2 * c + 1
-        if need > top:
-            sums.extend(bytearray(need - top))
-        for e in self._greedy:
-            sums[c + e] = 1
-        sums[2 * c] = 1
-        self._greedy.append(c)
+    def _ratchet(self) -> None:
+        """Admit next_q, whose bound 2q^2 the ladder has reached."""
+        q = self._next_q
+        if _is_prime(q):
+            self._prime = q
+        self._next_q = q + 1
+        self._next_q_at = 2 * (q + 1) ** 2
+
+    def _add_next(self) -> None:
+        """Append the next greedy element g and find the one after it."""
+        g = self._next
+        gap = g - (self._greedy[-1] if self._greedy else 0)
+        self._greedy.append(g)
+        self._below = (self._below << gap) | 1
+        self._diffs |= self._below
+        window = self._window = (self._window >> gap) | self._diffs
+        self._next = g + (window ^ (window + 1)).bit_length() - 1
 
     def greedy_prefix(self) -> list[int]:
         return list(self._greedy)

@@ -82,6 +82,13 @@ class TestBuild:
         assert result.returncode == 1
         assert result.stderr.startswith("ERROR:")
 
+    @pytest.mark.parametrize("phi", ["clog:1e-400", "pow:1e-400"])
+    def test_phi_parameter_outside_the_float_range(self, ones_file, phi):
+        result = run_cli("build", "--f", str(ones_file), "--phi", phi, "--stages", "1")
+        assert result.returncode == 1
+        assert result.stderr.startswith("ERROR: phi parameter")
+        assert "Traceback" not in result.stderr
+
     def test_search_cap_flag(self, ones_file):
         result = run_cli("build", "--f", str(ones_file), "--phi", "log2",
                          "--stages", "1", "--search-cap", "10")
@@ -186,6 +193,16 @@ class TestVerify:
         lines = result.stdout.strip().splitlines()
         assert lines[-1] == "FAIL"
         assert any(line.startswith(f"FAIL condition_3_density stage=3 witness={x}:") for line in lines)
+
+    @pytest.mark.parametrize("phi", ["clog:1e-400", "pow:1e-400"])
+    def test_phi_parameter_outside_the_float_range(self, ones_trace_file, phi):
+        data = json.loads(ones_trace_file.read_text())
+        data["phi"] = phi
+        ones_trace_file.write_text(json.dumps(data))
+        result = run_cli("verify", "--trace", str(ones_trace_file))
+        assert result.returncode == 1
+        assert result.stderr.startswith("MALFORMED_TRACE: bad phi: phi parameter")
+        assert "Traceback" not in result.stderr
 
     def test_huge_window(self, ones_trace_file):
         data = json.loads(ones_trace_file.read_text())

@@ -1,7 +1,8 @@
 """Property tests: random field mutations of a built trace either fail to
 load as a malformed trace or verify into a report whose every failure
-names a witness.  Examples are derandomized, so every run tests the same
-mutations."""
+names a witness, and random walks of the Sidon ladder agree with its
+per-candidate reference.  Examples are derandomized, so every run tests
+the same inputs."""
 
 import copy
 import json
@@ -12,10 +13,13 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
+from test_sidon import ReferenceLadder, same_state  # noqa: E402
+
 from repbasis import (  # noqa: E402
     MalformedTraceError,
     PhiSpec,
     RepTarget,
+    SidonLadder,
     build,
     trace_from_dict,
     trace_to_dict,
@@ -86,3 +90,21 @@ def test_mutation_is_malformed_or_witnessed(edits):
     assert all(c.witness is not None for c in failed)
     assert report.passed == (not failed and not report.equality.failures())
     assert json.loads(json.dumps(report.to_dict())) == report.to_dict()
+
+
+def _outcome(call, *args):
+    try:
+        return call(*args)
+    except ValueError as exc:
+        return ("ValueError", str(exc))
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.booleans(), st.integers(0, 2 * 10**4)), min_size=1, max_size=12))
+def test_ladder_walk_matches_the_reference(walk):
+    ladder, reference = SidonLadder(), ReferenceLadder()
+    for grow, bound in walk:
+        name = "advance_to_growth" if grow else "advance"
+        got = _outcome(getattr(ladder, name), bound)
+        assert got == _outcome(getattr(reference, name), bound), (name, bound)
+        assert same_state(ladder, reference), (name, bound)

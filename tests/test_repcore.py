@@ -12,6 +12,7 @@ from repbasis import (
     INFINITY,
     EmptySetError,
     FiniteBasis,
+    InputTooLargeError,
     PhiSpec,
     RepTarget,
     TargetSequence,
@@ -24,6 +25,7 @@ from repbasis import (
     sum_counter,
     target_prefix,
 )
+from repbasis import repcore
 from repbasis.repcore import real_sqrt
 
 
@@ -106,6 +108,17 @@ class TestRepProfile:
     def test_empty_raises(self):
         with pytest.raises(EmptySetError):
             rep_profile(FiniteBasis())
+
+    def test_too_large_window_raises_before_allocating(self):
+        with pytest.raises(InputTooLargeError) as caught:
+            rep_profile(FiniteBasis((1, 10**12)))
+        assert caught.value.code == "INPUT_TOO_LARGE"
+
+    def test_window_limit_is_inclusive(self, monkeypatch):
+        monkeypatch.setattr(repcore, "PROFILE_WINDOW_LIMIT", 41)  # max|a| = 10
+        assert len(rep_profile(basis(-10, 3))) == 41
+        with pytest.raises(InputTooLargeError):
+            rep_profile(basis(3, 11))
 
 
 class TestCounting:
@@ -323,6 +336,15 @@ class TestPhiSpec:
     def test_rejects_bad_specs(self, text):
         with pytest.raises(ValueError):
             PhiSpec.parse(text)
+
+    @pytest.mark.parametrize("text", ["clog:1e-400", "pow:1e-400", "clog:1e400"])
+    def test_rejects_parameters_outside_the_float_range(self, text):
+        # phi is evaluated in floats: 1e-400 would read as 0.0, 1e400 overflow
+        with pytest.raises(ValueError, match="phi parameter .* outside the float range"):
+            PhiSpec.parse(text)
+
+    def test_accepts_subnormal_parameters(self):
+        assert PhiSpec.parse("clog:1e-320").evaluate(0) > 0
 
     def test_direct_constructor_validation(self):
         with pytest.raises(ValueError):

@@ -14,6 +14,79 @@ from repbasis import (
     sidon_for_density,
 )
 
+# OEIS A005282, the Mian-Chowla sequence
+MIAN_CHOWLA = (1, 2, 4, 8, 13, 21, 31, 45, 66, 81, 97, 123, 148, 182, 204, 252, 290, 361, 401, 475)
+
+
+class ReferenceLadder:
+    """The ladder as a per-candidate loop: every bound is offered to the
+    greedy set, tested against a bytearray of its pair sums."""
+
+    def __init__(self):
+        self._greedy = []
+        self._sums = bytearray(1)
+        self._prime = 0
+        self._next_q = 2
+        self._next_q_at = 8
+        self._n = 0
+
+    def advance(self, n):
+        if n < self._n:
+            raise ValueError("ladder only moves forward")
+        while self._n < n:
+            self._step()
+
+    def advance_to_growth(self, limit):
+        best = self.best_size()
+        while self._n < limit:
+            self._step()
+            if len(self._greedy) > best or self._prime > best:
+                return self._n
+        return None
+
+    def _step(self):
+        c = self._n = self._n + 1
+        if c == self._next_q_at:
+            q = self._next_q
+            if sidon_mod._is_prime(q):
+                self._prime = q
+            self._next_q = q + 1
+            self._next_q_at = 2 * (q + 1) ** 2
+        sums = self._sums
+        top = len(sums)
+        for e in self._greedy:
+            s = c + e
+            if s < top and sums[s]:
+                return
+        if 2 * c < top and sums[2 * c]:
+            return
+        need = 2 * c + 1
+        if need > top:
+            sums.extend(bytearray(need - top))
+        for e in self._greedy:
+            sums[c + e] = 1
+        sums[2 * c] = 1
+        self._greedy.append(c)
+
+    def greedy_prefix(self):
+        return list(self._greedy)
+
+    def best_size(self):
+        return max(len(self._greedy), self._prime)
+
+    def best_elements(self):
+        if self._prime > len(self._greedy):
+            return SidonSet(sidon_mod._et_elements(self._prime), self._n)
+        return SidonSet(tuple(self._greedy), self._n)
+
+
+def same_state(ladder, reference):
+    return (
+        ladder.greedy_prefix() == reference.greedy_prefix()
+        and ladder.best_size() == reference.best_size()
+        and ladder.best_elements() == reference.best_elements()
+    )
+
 
 class TestIsSidon:
     def test_basic(self):
@@ -39,6 +112,15 @@ class TestGreedy:
     def test_too_small(self):
         with pytest.raises(InputTooSmallError):
             greedy_sidon(0)
+
+    def test_mian_chowla_terms(self):
+        assert greedy_sidon(MIAN_CHOWLA[-1]).elements == MIAN_CHOWLA
+        assert greedy_sidon(MIAN_CHOWLA[-1] - 1).elements == MIAN_CHOWLA[:-1]
+
+    def test_pin_at_a_million(self):
+        D = greedy_sidon(10**6)
+        assert len(D) == 381
+        assert D.elements[-1] == 986799
 
     def test_prefix_monotone_and_sidon(self):
         prev = ()
@@ -119,6 +201,28 @@ class TestSidonForDensity:
 
 
 class TestSidonLadder:
+    def test_matches_the_per_candidate_reference(self):
+        # every bound up to 400, both sides of each ratchet bound 2q^2 past it
+        # (the prime first beats the greedy size at 2 * 59**2), and far bounds
+        ratchets = {2 * q * q + d for q in range(15, 101) for d in (-1, 0)}
+        ladder, reference = SidonLadder(), ReferenceLadder()
+        for n in [*range(401), *sorted(ratchets | {997, 5000, 12345})]:
+            ladder.advance(n)
+            reference.advance(n)
+            assert same_state(ladder, reference), n
+            fresh = SidonLadder()
+            fresh.advance(n)
+            assert same_state(fresh, reference), n
+
+    def test_growth_points_match_the_reference(self):
+        ladder, reference = SidonLadder(), ReferenceLadder()
+        while True:
+            got = ladder.advance_to_growth(20000)
+            assert got == reference.advance_to_growth(20000)
+            assert same_state(ladder, reference), got
+            if got is None:
+                break
+
     def test_matches_fresh_constructions(self):
         ladder = SidonLadder()
         for n in (1, 3, 8, 20, 100, 101, 550, 1000):
