@@ -4,6 +4,7 @@ and tabulate checkpoint densities as CSV."""
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -17,7 +18,10 @@ from .verify import verify_trace
 STATS_HEADER = "x,count,demand,ratio,ceiling"
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built on the first call and reused by every later main()
+    call in the process (not at import, which would slow every start-up)."""
     parser = argparse.ArgumentParser(
         prog="repbasis",
         description="Staged additive-basis construction with verified density checkpoints.",

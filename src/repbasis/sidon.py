@@ -10,7 +10,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from .errors import DensityUnreachableError, InputTooSmallError
+from .errors import DensityUnreachableError, InputTooLargeError, InputTooSmallError
+
+# Largest ambient bound the constructions accept: the greedy ladder's bitsets
+# grow with the largest element, and advance(10**8) takes 27 s and 105 MB.
+SIDON_N_LIMIT = 10**8
 
 
 @dataclass(frozen=True, eq=True)
@@ -64,11 +68,17 @@ def _is_prime(p: int) -> bool:
     return True
 
 
+def _reject_too_large(n: int) -> None:
+    if n > SIDON_N_LIMIT:
+        raise InputTooLargeError(f"Sidon bound n={n} exceeds {SIDON_N_LIMIT}")
+
+
 def greedy_sidon(n: int) -> SidonSet:
     """First-fit Sidon set: scan 1..n, keep every value that preserves the
     distinct-sums property.  Prefix-monotone in n."""
     if n < 1:
         raise InputTooSmallError("greedy construction needs n >= 1")
+    _reject_too_large(n)
     ladder = SidonLadder()
     ladder.advance(n)
     return SidonSet(tuple(ladder.greedy_prefix()), n)
@@ -79,6 +89,7 @@ def erdos_turan_sidon(n: int) -> SidonSet:
     p with 2*p*p <= n.  Needs n >= 8 so that p = 2 is admissible."""
     if n < 8:
         raise InputTooSmallError("algebraic construction needs n >= 8")
+    _reject_too_large(n)
     p = 2
     q = 3
     while 2 * q * q <= n:
@@ -97,7 +108,7 @@ def sidon_for_density(n: int) -> SidonSet:
     """The larger of the two constructions, which must beat sqrt(n)/2.
 
     Raises DensityUnreachableError when even the better set has
-    4*|D|**2 <= n.
+    4*|D|**2 <= n, and InputTooLargeError past SIDON_N_LIMIT.
     """
     best = greedy_sidon(n)
     if n >= 8:

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from repbasis import PhiSpec, RepTarget, build, density_demand, trace_dumps
+from repbasis import PhiSpec, RepTarget, build, cli, density_demand, trace_dumps
 
 ONES = {"window": 0, "values": {"0": 1}, "default": 1}
 INF_ORIGIN = {"window": 0, "values": {"0": "inf"}, "default": 1}
@@ -259,6 +259,14 @@ class TestSidon:
     def test_unknown_method(self):
         assert run_cli("sidon", "--method", "bogus", "--n", "10").returncode == 2
 
+    def test_bound_past_the_limit(self):
+        # formerly ran on past a minute; the timeout turns a regression into a failure
+        result = run_cli("sidon", "--method", "greedy", "--n", "100000001", timeout=60)
+        assert result.returncode == 1
+        assert result.stdout == ""
+        assert result.stderr.startswith("INPUT_TOO_LARGE:")
+        assert "100000000" in result.stderr
+
 
 class TestStats:
     def test_csv_rows(self, tmp_path, ones_trace_file):
@@ -302,3 +310,36 @@ class TestStats:
 
 def test_no_arguments_is_usage_error():
     assert run_cli().returncode == 2
+
+
+def test_in_process_calls_reuse_one_parser(tmp_path, ones_file, ones_trace_file,
+                                           capsys, monkeypatch):
+    """A run of main() calls in one process, through success, a package
+    error, a usage error and a failed verification, builds the parser once
+    and answers each call as a fresh process does."""
+    monkeypatch.delenv("REPBASIS_SEARCH_CAP", raising=False)
+    data = json.loads(ones_trace_file.read_text())
+    data["stages"][2]["set"] = sorted(data["stages"][2]["set"] + [0])
+    mutated = tmp_path / "mutated.json"
+    mutated.write_text(json.dumps(data))
+    sidon = ("sidon", "--method", "auto", "--n", "4999")
+    sequence = [
+        sidon,
+        ("build", "--f", str(ones_file), "--phi", "bogus", "--stages", "1"),
+        ("sidon", "--n", "many"),
+        ("verify", "--trace", str(mutated)),
+        sidon,
+    ]
+    cli._build_parser.cache_clear()
+    codes = []
+    for argv in sequence:
+        try:
+            code = cli.main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+        out, err = capsys.readouterr()
+        fresh = run_cli(*argv)
+        assert (code, out, err) == (fresh.returncode, fresh.stdout, fresh.stderr), argv
+        codes.append(code)
+    assert codes == [0, 1, 2, 1, 0]
+    assert cli._build_parser.cache_info().misses == 1

@@ -3,6 +3,7 @@
 import dataclasses
 import itertools
 import json
+import random
 
 import pytest
 
@@ -34,10 +35,11 @@ from repbasis import (
 from repbasis.construct import (
     _density_search,
     _lindstrom_last,
+    _reject_bad_pair_counts,
     expected_kind,
     expected_m_covered,
 )
-from repbasis.repcore import density_exceeds
+from repbasis.repcore import density_exceeds, sum_counter
 from repbasis.sidon import SidonLadder
 
 F_ONES = RepTarget.constant(1)
@@ -446,3 +448,108 @@ class TestDensitySearch:
         tiny = PhiSpec.parse("clog:1/1000000000000000000000000000000")
         assert _lindstrom_last(tiny, 24, 2, 10**6) == 10**6
         assert _lindstrom_last(PhiSpec.parse("pow:49/100"), 1, 0, 10**700) == 10**700
+
+
+def _per_sum_reject(A, f, context):
+    """The precondition as a plain loop: look up f at every pair sum, in
+    increasing order, and raise at the first count above it."""
+    counts = sum_counter(A)
+    for n in sorted(counts):
+        fv = f.value(n)
+        if counts[n] > fv:
+            raise PreconditionViolatedError(
+                f"{context}: pair-sum count {counts[n]} exceeds prescribed {fv} at n={n}",
+                witness=n,
+            )
+    return counts
+
+
+def _reject_outcome(check, A, f):
+    try:
+        counts = check(A, f, "extension")
+    except PreconditionViolatedError as exc:
+        return ("raise", str(exc), exc.witness)
+    return ("ok", list(counts.items()))
+
+
+class TestPairCountPrecondition:
+    FS = {
+        "ones": F_ONES,
+        "twos": F_TWOS,
+        "zeros": F_ZEROS,
+        "inf_origin": F_INF0,
+        "inf_default": RepTarget(1, {-1: 1, 0: 1, 1: 1}, INFINITY),
+        "origin_above_default": RepTarget(0, {0: 3}, 1),
+        # a window much larger than the sets below
+        "wide": RepTarget(400, {n: 1 + n % 3 for n in range(-400, 401)}, 1),
+    }
+
+    @staticmethod
+    def _corpus(f, rng):
+        """Valid sets grown at random, then each with 1 to 3 random elements
+        added, and at times a mirror image, which often breaks the bound
+        inside or outside the window."""
+        reach = 40 + f.window_radius
+        sets = []
+        for _ in range(40):
+            els = set()
+            for _ in range(rng.randint(0, 14)):
+                c = rng.randint(-reach, reach)
+                grown = FiniteBasis.from_iterable(els | {c})
+                if _reject_outcome(_per_sum_reject, grown, f)[0] == "ok":
+                    els.add(c)
+            sets.append(FiniteBasis.from_iterable(els))
+            extra = {rng.randint(-reach, reach) for _ in range(rng.randint(1, 3))}
+            if rng.random() < 0.5:  # mirrored pairs add to the count at 0
+                extra |= {-e for e in rng.sample(sorted(els | extra), 1)}
+            sets.append(FiniteBasis.from_iterable(els | extra))
+        return sets
+
+    @pytest.mark.parametrize("name", sorted(FS))
+    def test_matches_the_per_sum_reference(self, name):
+        f = self.FS[name]
+        rng = random.Random(name)
+        fixed = [
+            FiniteBasis(()),
+            FiniteBasis((1,)),
+            FiniteBasis((-3, -2, -1, 1, 2, 3)),  # counts 2 at -1 and 1, 3 at 0
+            FiniteBasis((-31, -17, -5, 5, 17, 31)),  # count 3 at 0 only
+            FiniteBasis((-44, -31, -17, -5, 5, 17, 31, 44)),  # count 4 at 0 only
+            FiniteBasis(tuple(range(-6, 7))),
+            FiniteBasis((1, 2, 3, 4, 5, 6, 7)),
+        ]
+        kinds = {"ok": 0, "inside": 0, "outside": 0, "several": 0}
+        for A in fixed + self._corpus(f, rng):
+            want = _reject_outcome(_per_sum_reject, A, f)
+            assert _reject_outcome(_reject_bad_pair_counts, A, f) == want, A
+            if want[0] == "ok":
+                kinds["ok"] += 1
+                continue
+            kinds["inside" if abs(want[2]) <= f.window_radius else "outside"] += 1
+            counts = sum_counter(A)
+            kinds["several"] += sum(c > f.value(n) for n, c in counts.items()) > 1
+        # every f above gets valid sets and sets with several violations;
+        # the violations lie inside the window for all but the infinite
+        # origin, and outside it for all but the infinite default
+        assert kinds["ok"] > 20 and kinds["several"] > 0, kinds
+        assert kinds["inside"] > 0 or name == "inf_origin", kinds
+        assert kinds["outside"] > 0 or name == "inf_default", kinds
+
+    def test_valid_sets_settle_without_looking_up_f(self, monkeypatch):
+        looked_up = []
+        original = RepTarget.value
+
+        def spy(self, n):
+            looked_up.append(n)
+            return original(self, n)
+
+        monkeypatch.setattr(RepTarget, "value", spy)
+        # Mian-Chowla shifted by one, so no pair sum meets F_ZEROS' zeros
+        mian_chowla = FiniteBasis((2, 3, 5, 9, 14, 22, 32, 46, 67, 82))
+        for f in self.FS.values():
+            assert _reject_bad_pair_counts(mian_chowla, f, "extension") == sum_counter(mian_chowla)
+        assert looked_up == []
+        with pytest.raises(PreconditionViolatedError) as err:
+            _reject_bad_pair_counts(FiniteBasis((1, 2, 3)), F_ONES, "densification")
+        assert err.value.witness == 4
+        assert str(err.value) == "densification: pair-sum count 2 exceeds prescribed 1 at n=4"

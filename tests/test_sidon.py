@@ -5,6 +5,7 @@ import pytest
 import repbasis.sidon as sidon_mod
 from repbasis import (
     DensityUnreachableError,
+    InputTooLargeError,
     InputTooSmallError,
     SidonLadder,
     SidonSet,
@@ -129,6 +130,32 @@ class TestGreedy:
             assert current[: len(prev)] == prev
             assert is_sidon(current)
             prev = current
+
+
+class TestInputLimit:
+    CONSTRUCTIONS = (greedy_sidon, erdos_turan_sidon, sidon_for_density)
+
+    @pytest.fixture()
+    def advanced(self, monkeypatch):
+        """Bounds handed to SidonLadder.advance, which is stubbed out so that
+        no test here walks a ladder to 10**8."""
+        bounds = []
+        monkeypatch.setattr(SidonLadder, "advance", lambda self, n: bounds.append(n))
+        return bounds
+
+    @pytest.mark.parametrize("construct", CONSTRUCTIONS)
+    def test_past_the_limit_raises_before_any_ladder_work(self, construct, advanced):
+        with pytest.raises(InputTooLargeError) as err:
+            construct(sidon_mod.SIDON_N_LIMIT + 1)
+        assert err.value.code == "INPUT_TOO_LARGE"
+        assert str(err.value) == "Sidon bound n=100000001 exceeds 100000000"
+        assert advanced == []
+
+    def test_limit_is_inclusive(self, advanced):
+        n = sidon_mod.SIDON_N_LIMIT
+        assert greedy_sidon(n).ambient_n == n
+        assert advanced == [n]
+        assert len(erdos_turan_sidon(n)) == 7069  # the largest prime p with 2p^2 <= 10**8
 
 
 class TestErdosTuran:
