@@ -8,7 +8,9 @@ its own unmodified bench/run.py is run there, one process at a time.  A
 pair is one --trace 0 run of each side on the same seed; the side that
 runs first alternates from pair to pair, and pair i uses seed
 first_seed + i.  One --trace 1 run per side and workload (seed 1) gives
-the exact per-layer counts and the per-layer times.  The file holds, per
+the exact per-layer counts and the per-layer times.  Every run keeps
+bench/run.py's own default run length, read from each checkout and
+recorded with the two commands.  The file holds, per
 workload and side, the median and quartiles of every end-to-end metric
 with the runs themselves, how many pairs the change won, the traced
 counts and times, and for each revision the line count of src/, with the
@@ -21,6 +23,7 @@ import argparse
 import io
 import json
 import platform
+import re
 import statistics
 import subprocess
 import sys
@@ -49,12 +52,18 @@ def src_lines(checkout: Path) -> int:
     return sum(len(p.read_text().splitlines()) for p in (checkout / "src").rglob("*.py"))
 
 
-def run_bench(checkout: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
+def run_seconds(checkout: Path) -> float:
+    """The default of bench/run.py's --seconds in this checkout."""
+    text = (checkout / "bench" / "run.py").read_text()
+    return float(re.search(r'"--seconds", type=float, default=([0-9.]+)', text).group(1))
+
+
+def run_bench(checkout: Path, workload: str, seed: int, trace: int) -> dict:
     """One bench/run.py run: its closing JSON line, plus every metric of the
     table it prints before that line, as name -> [value, unit]."""
     out = subprocess.run(
         [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
-         "--seconds", str(seconds), "--trace", str(trace)],
+         "--trace", str(trace)],
         cwd=checkout, check=True, capture_output=True, text=True,
     ).stdout.splitlines()
     result = json.loads(out[-1])
@@ -72,15 +81,14 @@ def summary(values: list[float]) -> dict:
     return {"median": median, "q1": q1, "q3": q3, "runs": values}
 
 
-def record_workload(sides: dict[str, Path], workload: str, pairs: int, first_seed: int,
-                    seconds: float, trace_seconds: float) -> dict:
+def record_workload(sides: dict[str, Path], workload: str, pairs: int, first_seed: int) -> dict:
     runs = {side: [] for side in sides}
     seeds, first = [], []
     for i in range(pairs):
         seed = first_seed + i
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
         for side in order:
-            runs[side].append(run_bench(sides[side], workload, seed, seconds, 0))
+            runs[side].append(run_bench(sides[side], workload, seed, 0))
             print(f"{workload} seed {seed} {side}: "
                   f"{runs[side][-1]['metrics']['wall_s']['value']:.6g} s", file=sys.stderr)
         seeds.append(seed)
@@ -99,7 +107,7 @@ def record_workload(sides: dict[str, Path], workload: str, pairs: int, first_see
     }
     entry["traced"] = {}
     for side, checkout in sides.items():
-        traced = run_bench(checkout, workload, 1, trace_seconds, 1)
+        traced = run_bench(checkout, workload, 1, 1)
         entry["traced"][side] = {
             "counts": {k: int(v) for k, (v, unit) in traced["table"].items() if unit == "count"},
             "times_s": {k: v for k, (v, unit) in traced["table"].items()
@@ -117,26 +125,25 @@ def main(argv=None) -> int:
     parser.add_argument("--workload", action="append", metavar="NAME=PAIRS",
                         help="workload and number of pairs (default: all four, 3 pairs)")
     parser.add_argument("--first-seed", type=int, default=11)
-    parser.add_argument("--seconds", type=float, default=30.0)
-    parser.add_argument("--trace-seconds", type=float, default=10.0)
     args = parser.parse_args(argv)
     plan = dict(item.split("=") for item in args.workload or [f"{w}=3" for w in WORKLOADS])
 
     with tempfile.TemporaryDirectory() as tmp:
-        revisions, sides, lines = {}, {}, {}
+        revisions, sides, lines, seconds = {}, {}, {}, {}
         for side in ("parent", "change"):
             revisions[side], sides[side] = export(getattr(args, side), Path(tmp))
             lines[side] = src_lines(sides[side])
+            seconds[side] = run_seconds(sides[side])
         record = {
             "python": platform.python_version(),
             "revisions": revisions,
             "src_lines": lines,
-            "command": "python3 bench/run.py --workload W --seed S "
-                       f"--seconds {args.seconds:g} --trace 0",
+            "run_seconds": seconds,
+            "command": "python3 bench/run.py --workload W --seed S --trace 0",
+            "traced_command": "python3 bench/run.py --workload W --seed 1 --trace 1",
             "quartiles": "statistics.quantiles(n=4, method='inclusive')",
             "workloads": {
-                w: record_workload(sides, w, int(pairs), args.first_seed, args.seconds,
-                                   args.trace_seconds)
+                w: record_workload(sides, w, int(pairs), args.first_seed)
                 for w, pairs in plan.items()
             },
         }
