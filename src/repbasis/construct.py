@@ -106,11 +106,13 @@ def _reject_bad_pair_counts(A: FiniteBasis, f: RepTarget, context: str) -> Count
     counts = sum_counter(A)
     # settle the common case, every count within f, at C level: the sums in
     # the window against their values (the key intersection walks the smaller
-    # of window and Counter), the rest against the default; otherwise the
-    # sorted scan finds the witness
+    # of window and Counter), the rest against the default, by one max over
+    # all counts when that suffices, as it spares building the set of sums
+    # outside the window; otherwise the sorted scan finds the witness
     inside = counts.keys() & f.values.keys()
     if all(map(le, map(counts.__getitem__, inside), map(f.values.__getitem__, inside))) and (
-        max(map(counts.__getitem__, counts.keys() - inside), default=0) <= f.default
+        max(counts.values(), default=0) <= f.default
+        or max(map(counts.__getitem__, counts.keys() - inside), default=0) <= f.default
     ):
         return counts
     for n in sorted(counts):

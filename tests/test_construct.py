@@ -548,6 +548,10 @@ class TestPairCountPrecondition:
         mian_chowla = FiniteBasis((2, 3, 5, 9, 14, 22, 32, 46, 67, 82))
         for f in self.FS.values():
             assert _reject_bad_pair_counts(mian_chowla, f, "extension") == sum_counter(mian_chowla)
+        # two pairs sum to 0, which the window allows and the default does not
+        symmetric = FiniteBasis((-2, -1, 1, 2))
+        for f in (self.FS["inf_origin"], self.FS["origin_above_default"]):
+            assert _reject_bad_pair_counts(symmetric, f, "extension") == sum_counter(symmetric)
         assert looked_up == []
         with pytest.raises(PreconditionViolatedError) as err:
             _reject_bad_pair_counts(FiniteBasis((1, 2, 3)), F_ONES, "densification")
