@@ -7,6 +7,7 @@ import argparse
 import functools
 import json
 import math
+import os
 import sys
 
 from .construct import build, trace_dumps, trace_loads
@@ -52,7 +53,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _write_text(path: str | None, text: str) -> None:
     if path is None:
-        sys.stdout.write(text)
+        try:
+            sys.stdout.write(text)
+            sys.stdout.flush()
+        except BrokenPipeError:
+            # the reader of stdout is gone: end quietly with the command's own
+            # status; with fd 1 on devnull the flush at exit cannot raise
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
     else:
         with open(path, "w", encoding="utf-8") as handle:
             handle.write(text)
@@ -73,9 +82,9 @@ def _cmd_verify(args) -> int:
     report = verify_trace(trace)
     if args.report:
         _write_text(args.report, json.dumps(report.to_dict(), sort_keys=True, indent=2) + "\n")
-    for line in report.failures():
-        print(f"FAIL {line}")
-    print("PASS" if report.passed else "FAIL")
+    lines = [f"FAIL {line}" for line in report.failures()]
+    lines.append("PASS" if report.passed else "FAIL")
+    _write_text(None, "\n".join(lines) + "\n")
     return 0 if report.passed else 1
 
 
@@ -94,7 +103,7 @@ def _cmd_sidon(args) -> int:
         "threshold": round(math.sqrt(args.n) / 2, 6),
         "density_ok": result.density_ok(),
     }
-    print(json.dumps(payload, sort_keys=True, indent=2))
+    _write_text(None, json.dumps(payload, sort_keys=True, indent=2) + "\n")
     return 0
 
 
@@ -134,7 +143,7 @@ def main(argv=None) -> int:
     except RepbasisError as exc:
         print(f"{exc.code}: {exc}", file=sys.stderr)
         return 1
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"ERROR: {exc}", file=sys.stderr)
         return 1
 

@@ -25,8 +25,8 @@ from .repcore import (
     _unique_keys,
     counting,
     d0_of,
-    density_demand,
     density_exceeds,
+    density_out_of_reach,
     sum_counter,
     target_prefix,
 )
@@ -130,32 +130,21 @@ def _reject_zero_member(A: FiniteBasis, context: str) -> None:
         raise PreconditionViolatedError(f"{context}: 0 must not be an element", witness=0)
 
 
-# The float demand is trusted below this size: its error there stays far
-# under the +1 of slack that _lindstrom_last adds to the count.
-_TRUSTED_DEMAND = 2**40
-# It is trusted only below this x as well: past it sqrt(x) leaves the float
-# range, and the demand is taken in log space with an error that grows with x.
-_TRUSTED_X = 2**2048
-
-
 def _lindstrom_last(phi: PhiSpec, scale: int, extra_count: int, limit: int) -> int:
     """Largest n <= limit, to within a dyadic block, that Lindström's bound
     cannot rule out; 0 when it rules out every n in [1, limit].
 
     Every Sidon set in [1, n] has fewer than sqrt(n) + n**(1/4) + 1 elements
     (Lindström 1969), so for n in a block [lo, hi] the count is at most
-    extra_count + s + ceil(sqrt(s)) with s = ceil(sqrt(hi)).  The demand
-    sqrt(x)/phi(x) increases for x >= 1, so the block is ruled out when that
-    count plus one of slack does not beat the demand at x = scale*lo.
+    extra_count + s + ceil(sqrt(s)) with s = ceil(sqrt(hi)).  The block is
+    ruled out when that count is out of reach for x in [scale*lo, scale*hi].
     """
     hi = limit
     while hi >= 1:
         lo = 1 << (hi.bit_length() - 1)
-        x = scale * hi
-        trusted = x < _TRUSTED_X and density_demand(x, phi) < _TRUSTED_DEMAND
         s = math.isqrt(hi - 1) + 1  # ceil(sqrt(hi))
         t = math.isqrt(s - 1) + 1  # ceil(sqrt(s))
-        if not trusted or density_exceeds(extra_count + s + t + 1, scale * lo, phi):
+        if not density_out_of_reach(extra_count + s + t, scale * lo, scale * hi, phi):
             return hi
         hi = lo - 1
     return 0
@@ -296,35 +285,30 @@ def build(
     cap = resolve_search_cap(search_cap)
     useq = TargetSequence(f)
     u_prefix = tuple(useq.prefix(L + 1))
-    base = base_case(f, phi, search_cap=cap)
-    stages = [base]
-    current = base.set
-    x_prev = base.x
+    stages = [base_case(f, phi, search_cap=cap)]
     for l in range(1, L + 1):
-        extended = extend_target(current, f, useq, l)
+        previous = stages[-1]
+        extended = extend_target(previous.set, f, useq, l)
         stages.append(
             StageRecord(
                 index=2 * l,
                 kind=KIND_EXTENSION,
                 set=extended,
-                added=_difference(extended, current),
+                added=_difference(extended, previous.set),
                 m_covered=l + 1,
             )
         )
-        current = extended
-        dense, x = densify(current, f, phi, x_prev, search_cap=cap)
+        dense, x = densify(extended, f, phi, previous.x, search_cap=cap)
         stages.append(
             StageRecord(
                 index=2 * l + 1,
                 kind=KIND_DENSIFICATION,
                 set=dense,
-                added=_difference(dense, current),
+                added=_difference(dense, extended),
                 m_covered=l + 1,
                 x=x,
             )
         )
-        current = dense
-        x_prev = x
     return ConstructionTrace(f=f, phi=phi, u_prefix=u_prefix, stages=tuple(stages))
 
 

@@ -239,8 +239,9 @@ class TargetSequence:
     """Deterministic enumeration u_1, u_2, ... hitting every n exactly f(n)
     times in the limit.
 
-    Round t scans n = 0, 1, -1, ..., t, -t and emits n when
-    min(f(n), t) still exceeds the number of earlier emissions of n.
+    Round t scans n = 0, 1, -1, ..., t, -t.  It emits n once per round
+    from the first round that scans n, round max(|n|, 1), until n has f(n)
+    emissions: exactly when t - max(|n|, 1) < f(n).
     Prefixes are stable: growing the sequence never rewrites older terms.
     A sequence caches its emissions, so share one per owner.
     """
@@ -248,17 +249,12 @@ class TargetSequence:
     def __init__(self, source: RepTarget):
         self.source = source
         self._emitted: list[int] = []
-        self._counts: Counter = Counter()
         self._round = 0
 
     def _advance_round(self) -> None:
         self._round += 1
         t = self._round
-        for n in self._spiral(t):
-            bound = min(self.source.value(n), t)
-            if bound > self._counts[n]:
-                self._emitted.append(n)
-                self._counts[n] += 1
+        self._emitted.extend(n for n in self._spiral(t) if t - (abs(n) or 1) < self.source.value(n))
 
     @staticmethod
     def _spiral(t: int) -> Iterator[int]:
@@ -388,3 +384,14 @@ def density_demand(x, phi: PhiSpec) -> float:
 def density_exceeds(count: int, x, phi: PhiSpec) -> bool:
     """Strict count > sqrt(x)/phi(x), trusted only past the float margin."""
     return count > density_demand(x, phi) + DENSITY_MARGIN
+
+
+def density_out_of_reach(count: int, lo_x, hi_x, phi: PhiSpec) -> bool:
+    """True only when no count up to `count` beats sqrt(x)/phi(x) for any x
+    in [lo_x, hi_x], 1 <= lo_x, where the bar increases.  The float bar is
+    trusted only below x = 2**2048 (past it the bar is taken in log space,
+    with an error growing with x) and below 2**40, where its error is far
+    under the +1 of slack given to count; elsewhere the answer is False."""
+    # bit_length, as 2**2048 is not folded into a constant and costs 2 us
+    trusted = hi_x.bit_length() <= 2048 and density_demand(hi_x, phi) < 2**40
+    return trusted and not density_exceeds(count + 1, lo_x, phi)

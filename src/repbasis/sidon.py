@@ -7,6 +7,7 @@ with 4*|D|**2 > n, i.e. |D| > sqrt(n)/2.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -90,12 +91,9 @@ def erdos_turan_sidon(n: int) -> SidonSet:
     if n < 8:
         raise InputTooSmallError("algebraic construction needs n >= 8")
     _reject_too_large(n)
-    p = 2
-    q = 3
-    while 2 * q * q <= n:
-        if _is_prime(q):
-            p = q
-        q += 1
+    p = math.isqrt(n // 2)  # the largest p with 2*p*p <= n
+    while not _is_prime(p):
+        p -= 1
     return SidonSet(_et_elements(p), n)
 
 

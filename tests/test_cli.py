@@ -15,14 +15,15 @@ ONES = {"window": 0, "values": {"0": 1}, "default": 1}
 INF_ORIGIN = {"window": 0, "values": {"0": "inf"}, "default": 1}
 
 
-def run_cli(*args, env_extra=None, check=False, timeout=None):
+def run_cli(*args, env_extra=None, check=False, timeout=None, stdout=subprocess.PIPE):
     env = dict(os.environ)
     env.pop("REPBASIS_SEARCH_CAP", None)
     if env_extra:
         env.update(env_extra)
     result = subprocess.run(
         [sys.executable, "-m", "repbasis", *args],
-        capture_output=True,
+        stdout=stdout,
+        stderr=subprocess.PIPE,
         text=True,
         env=env,
         timeout=timeout,
@@ -30,6 +31,17 @@ def run_cli(*args, env_extra=None, check=False, timeout=None):
     if check:
         assert result.returncode == 0, result.stderr
     return result
+
+
+def run_cli_into_closed_pipe(*args):
+    """Run the CLI with stdout on a pipe whose read end is closed before
+    the child starts, as when the reader of a pipeline has gone away."""
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        return run_cli(*args, stdout=write_end, timeout=120)
+    finally:
+        os.close(write_end)
 
 
 @pytest.fixture()
@@ -143,6 +155,49 @@ class TestBuild:
     def test_missing_target_file(self, tmp_path):
         result = run_cli("build", "--f", str(tmp_path / "nope.json"),
                          "--phi", "log2", "--stages", "1")
+        assert result.returncode == 1
+        assert result.stderr.startswith("ERROR:")
+
+
+class TestClosedStdout:
+    """A closed stdout ends a command quietly with its own exit status."""
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ("sidon", "--n", "50"),
+            # about 9 KB, past the pipe's write buffer, so write() itself fails
+            ("sidon", "--method", "erdos-turan", "--n", "1000000"),
+        ],
+        ids=["small", "past_the_buffer"],
+    )
+    def test_sidon(self, args):
+        result = run_cli_into_closed_pipe(*args)
+        assert (result.returncode, result.stderr) == (0, "")
+
+    def test_build_to_stdout(self, ones_file):
+        result = run_cli_into_closed_pipe("build", "--f", str(ones_file), "--phi", "log2",
+                                          "--stages", "1")
+        assert (result.returncode, result.stderr) == (0, "")
+
+    def test_stats_to_stdout(self, ones_trace_file):
+        result = run_cli_into_closed_pipe("stats", "--trace", str(ones_trace_file))
+        assert (result.returncode, result.stderr) == (0, "")
+
+    def test_verify_keeps_its_verdict(self, tmp_path, ones_trace_file):
+        data = json.loads(ones_trace_file.read_text())
+        data["stages"][2]["set"] = sorted(data["stages"][2]["set"] + [0])
+        mutated = tmp_path / "mutated.json"
+        mutated.write_text(json.dumps(data))
+        passing = run_cli_into_closed_pipe("verify", "--trace", str(ones_trace_file))
+        failing = run_cli_into_closed_pipe("verify", "--trace", str(mutated))
+        assert (passing.returncode, passing.stderr) == (0, "")
+        assert (failing.returncode, failing.stderr) == (1, "")
+
+    @pytest.mark.parametrize("name", ["missing.json", "."], ids=["missing", "directory"])
+    def test_unreadable_target_file_is_still_an_error(self, tmp_path, name):
+        result = run_cli_into_closed_pipe("build", "--f", str(tmp_path / name), "--phi", "log2",
+                                          "--stages", "1")
         assert result.returncode == 1
         assert result.stderr.startswith("ERROR:")
 

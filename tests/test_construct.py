@@ -3,6 +3,7 @@
 import dataclasses
 import itertools
 import json
+import math
 import random
 
 import pytest
@@ -39,7 +40,7 @@ from repbasis.construct import (
     expected_kind,
     expected_m_covered,
 )
-from repbasis.repcore import density_exceeds, sum_counter
+from repbasis.repcore import density_demand, density_exceeds, sum_counter
 from repbasis.sidon import SidonLadder
 
 F_ONES = RepTarget.constant(1)
@@ -448,6 +449,80 @@ class TestDensitySearch:
         tiny = PhiSpec.parse("clog:1/1000000000000000000000000000000")
         assert _lindstrom_last(tiny, 24, 2, 10**6) == 10**6
         assert _lindstrom_last(PhiSpec.parse("pow:49/100"), 1, 0, 10**700) == 10**700
+
+
+def _reference_lindstrom_last(phi, scale, extra_count, limit):
+    """_lindstrom_last as it was written with its own float-trust rule: the
+    demand is trusted below 2**40 and below x = 2**2048, and a block is
+    ruled out when the Lindström count plus one does not beat the demand."""
+    hi = limit
+    while hi >= 1:
+        lo = 1 << (hi.bit_length() - 1)
+        x = scale * hi
+        trusted = x < 2**2048 and density_demand(x, phi) < 2**40
+        s = math.isqrt(hi - 1) + 1
+        t = math.isqrt(s - 1) + 1
+        if not trusted or density_exceeds(extra_count + s + t + 1, scale * lo, phi):
+            return hi
+        hi = lo - 1
+    return 0
+
+
+LINDSTROM_PHIS = tuple(
+    PhiSpec.parse(text)
+    for text in ("log2", "ln", "pow:1/4", "pow:1/50", "pow:49/100", "clog:1/100", "clog:3",
+                 "clog:1/1000000000000000000000000000000")
+)
+
+
+def _demand_edge(phi, scale):
+    """A limit L whose demand at x = scale*L is below 2**40 and whose
+    demand at scale*(L + 1) is not, found by bisection."""
+    below, above = 1, 2
+    while density_demand(scale * above, phi) < 2**40:
+        below, above = above, 2 * above
+    assert density_demand(scale * below, phi) < 2**40
+    while above - below > 1:
+        mid = (below + above) // 2
+        if density_demand(scale * mid, phi) < 2**40:
+            below = mid
+        else:
+            above = mid
+    return below
+
+
+class TestLindstromLast:
+    """_lindstrom_last, now asking repcore whether a count is out of reach,
+    returns exactly what the version with its own trust rule returned."""
+
+    @pytest.mark.parametrize("phi", LINDSTROM_PHIS, ids=str)
+    def test_matches_the_reference(self, phi):
+        for scale, extra, limit in itertools.product(
+            (1, 24, 90), (0, 2, 9), (0, 1, 10**3, 10**6, 10**9, 10**700)
+        ):
+            want = _reference_lindstrom_last(phi, scale, extra, limit)
+            assert _lindstrom_last(phi, scale, extra, limit) == want, (scale, extra, limit)
+
+    def test_demand_on_both_sides_of_the_trust_edge(self):
+        bites = 0
+        for text in ("log2", "pow:1/4", "clog:1/100", "clog:3"):
+            phi = PhiSpec.parse(text)
+            for scale, extra in itertools.product((1, 24, 90), (0, 2, 9)):
+                edge = _demand_edge(phi, scale)
+                for limit in (edge - 1, edge, edge + 1, edge + 2):
+                    want = _reference_lindstrom_last(phi, scale, extra, limit)
+                    assert _lindstrom_last(phi, scale, extra, limit) == want, (text, scale, limit)
+                after = _reference_lindstrom_last(phi, scale, extra, edge + 1)
+                bites += _reference_lindstrom_last(phi, scale, extra, edge) != edge == after - 1
+        # clog:1/100 rules out the block below the edge and not the one above
+        assert bites > 0
+
+    def test_x_on_both_sides_of_the_float_edge(self):
+        for phi, scale, extra in itertools.product(LINDSTROM_PHIS, (1, 24, 90), (0, 2, 9)):
+            top = 2**2048 // scale
+            for limit in (top - 1, top, top + 1, top + 2):
+                want = _reference_lindstrom_last(phi, scale, extra, limit)
+                assert _lindstrom_last(phi, scale, extra, limit) == want, (phi, scale, limit)
 
 
 def _per_sum_reject(A, f, context):

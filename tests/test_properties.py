@@ -1,11 +1,14 @@
 """Property tests: random field mutations of a built trace either fail to
 load as a malformed trace or verify into a report whose every failure
-names a witness, and random walks of the Sidon ladder agree with its
-per-candidate reference.  Examples are derandomized, so every run tests
-the same inputs."""
+names a witness, random walks of the Sidon ladder agree with its
+per-candidate reference, targets and traces survive their round trips,
+and the command line ends with status 0, 1 or 2 on any argument list.
+Examples are derandomized, so every run tests the same inputs."""
 
 import copy
+import io
 import json
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
@@ -16,12 +19,17 @@ from hypothesis import strategies as st  # noqa: E402
 from test_sidon import ReferenceLadder, same_state  # noqa: E402
 
 from repbasis import (  # noqa: E402
+    INFINITY,
     MalformedTraceError,
     PhiSpec,
+    PhiTooSlowError,
     RepTarget,
     SidonLadder,
     build,
+    cli,
+    trace_dumps,
     trace_from_dict,
+    trace_loads,
     trace_to_dict,
     verify_trace,
 )
@@ -108,3 +116,98 @@ def test_ladder_walk_matches_the_reference(walk):
         got = _outcome(getattr(ladder, name), bound)
         assert got == _outcome(getattr(reference, name), bound), (name, bound)
         assert same_state(ladder, reference), (name, bound)
+
+
+@st.composite
+def targets(draw):
+    """A RepTarget with a window of radius <= 4, values 0-5 or INFINITY and
+    a default of 1-3 or INFINITY."""
+    w = draw(st.integers(0, 4))
+    counts = st.integers(0, 5) | st.just(INFINITY)
+    values = {n: draw(counts) for n in range(-w, w + 1)}
+    return RepTarget(w, values, draw(st.integers(1, 3) | st.just(INFINITY)))
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(targets())
+def test_target_round_trip(f):
+    assert RepTarget.from_dict(json.loads(json.dumps(f.to_dict()))) == f
+    assert RepTarget.from_dict(f.to_dict()) == f
+
+
+F_ZEROS = RepTarget(2, {n: 0 for n in range(-2, 3)}, 1)
+
+
+@pytest.mark.parametrize("rounds", [1, 2])
+@pytest.mark.parametrize("phi", ["pow:1/4", "log2"])
+@pytest.mark.parametrize("f", [RepTarget.constant(1), F_ZEROS], ids=["ones", "zeros"])
+def test_trace_round_trip(f, phi, rounds):
+    try:
+        trace = build(f, phi, rounds)
+    except PhiTooSlowError:
+        # zeros on |n| <= 2 cannot densify a second time: Lindström's bound
+        # rules out every x up to the cap under both phis
+        assert (f, rounds) == (F_ZEROS, 2)
+        return
+    assert trace_loads(trace_dumps(trace)) == trace
+
+
+@pytest.fixture(scope="module")
+def cli_files(tmp_path_factory):
+    """Fixture files for the command line: a target, a trace, a garbled
+    file and a path that does not exist."""
+    root = tmp_path_factory.mktemp("cli")
+    files = {
+        "target": json.dumps(RepTarget.constant(1).to_dict()),
+        "trace": trace_dumps(build(RepTarget.constant(1), "log2", 1)),
+        "garbled": '{"f": [1, 2',
+    }
+    for name, text in files.items():
+        (root / f"{name}.json").write_text(text)
+    return {name: str(root / f"{name}.json") for name in (*files, "missing")}
+
+
+def _argv(draw_path):
+    """Argument lists over a bounded vocabulary; a path is drawn by name."""
+    path = st.sampled_from(("target", "trace", "garbled", "missing")).map(draw_path)
+    number = st.integers(-5, 5000).map(str) | st.sampled_from(("", "many", "1e3"))
+    sidon = st.tuples(
+        st.just("sidon"),
+        st.sampled_from((("--method", "greedy"), ("--method", "erdos-turan"),
+                         ("--method", "auto"), ("--method", "bogus"), ())),
+        st.sampled_from((("--n",), ())),
+        number.map(lambda n: (n,)),
+    )
+    build_ = st.tuples(
+        st.just("build"),
+        path.map(lambda p: ("--f", p)),
+        st.sampled_from(("log2", "pow:1/4", "clog:1/100", "clog:1e-400", "bogus")).map(
+            lambda phi: ("--phi", phi)),
+        st.sampled_from((("--stages", "1"), ("--stages", "0"), ())),
+        st.integers(-1, 10**5).map(lambda cap: ("--search-cap", str(cap))) | st.just(()),
+    )
+    read = st.tuples(
+        st.sampled_from(("verify", "stats")),
+        path.map(lambda p: ("--trace", p)) | st.just(()),
+    )
+    junk = st.tuples(st.sampled_from(("", "--help-me", "frobnicate", "--n")))
+    return (sidon | build_ | read | junk).map(_flatten)
+
+
+def _flatten(parts):
+    return [a for part in parts for a in ((part,) if isinstance(part, str) else part)]
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(st.data())
+def test_cli_status_is_0_1_or_2(cli_files, data):
+    argv = data.draw(_argv(cli_files.__getitem__))
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            status = cli.main(argv)
+        except SystemExit as exc:  # argparse rejects the command line
+            status = exc.code
+    assert status in (0, 1, 2), (argv, err.getvalue())
+    # an error is one typed line, never a traceback
+    assert err.getvalue().count("\n") <= 1 or status == 2, (argv, err.getvalue())

@@ -26,7 +26,7 @@ from repbasis import (
     target_prefix,
 )
 from repbasis import repcore
-from repbasis.repcore import real_sqrt
+from repbasis.repcore import density_out_of_reach, real_sqrt
 
 
 def basis(*els):
@@ -305,6 +305,68 @@ class TestTargetSequence:
             seq.prefix(-1)
 
 
+class ReferenceTargetSequence:
+    """The enumeration as it was kept with a Counter: round t scans
+    n = 0, 1, -1, ..., t, -t and emits n when min(f(n), t) still exceeds
+    the number of earlier emissions of n."""
+
+    def __init__(self, source):
+        self.source = source
+        self._emitted = []
+        self._counts = Counter()
+        self._round = 0
+
+    def _advance_round(self):
+        self._round += 1
+        t = self._round
+        for n in [0, *(k * sign for k in range(1, t + 1) for sign in (1, -1))]:
+            if min(self.source.value(n), t) > self._counts[n]:
+                self._emitted.append(n)
+                self._counts[n] += 1
+
+    def prefix(self, m):
+        while len(self._emitted) < m:
+            self._advance_round()
+        return self._emitted[:m]
+
+
+def _random_target(rng):
+    w = rng.randint(0, 4)
+    values = {n: rng.choice((0, 0, 1, 2, 3, 5, INFINITY)) for n in range(-w, w + 1)}
+    return RepTarget(w, values, rng.choice((1, 2, 3, INFINITY)))
+
+
+class TestClosedFormEnumeration:
+    """TargetSequence emits n in round t exactly when t - max(|n|, 1) < f(n);
+    the Counter-based reference must give the same terms."""
+
+    NAMED = (
+        RepTarget.constant(1),
+        RepTarget.constant(2),
+        RepTarget.constant(INFINITY),
+        RepTarget(2, {n: 0 for n in range(-2, 3)}, 1),
+        RepTarget(0, {0: INFINITY}, 1),
+    )
+
+    @pytest.mark.parametrize("f", NAMED, ids=["ones", "twos", "inf", "zeros", "inf_origin"])
+    def test_named_targets(self, f):
+        assert TargetSequence(f).prefix(400) == ReferenceTargetSequence(f).prefix(400)
+
+    def test_random_windows(self):
+        rng = random.Random(20261018)
+        for _ in range(200):
+            f = _random_target(rng)
+            m = rng.randint(0, 300)
+            assert TargetSequence(f).prefix(m) == ReferenceTargetSequence(f).prefix(m), f
+
+    def test_prefixes_grown_on_one_sequence(self):
+        rng = random.Random(8)
+        for f in (*self.NAMED, *(_random_target(rng) for _ in range(40))):
+            seq, ref = TargetSequence(f), ReferenceTargetSequence(f)
+            for m in (1, 0, 3, 3, 17, 5, 60, 61, 200, 120, 300):
+                assert seq.prefix(m) == ref.prefix(m), (f, m)
+
+
 class TestPhiSpec:
     def test_parse_and_canonical_str(self):
         assert str(PhiSpec.parse("log2")) == "log2"
@@ -386,6 +448,38 @@ class TestDensityBar:
         assert not density_exceeds(10**400, 10**4000, log2)
         assert density_exceeds(10**41, 10**4000, pow49)
         assert not density_exceeds(10**39, 10**4000, pow49)
+
+    def test_out_of_reach_is_the_margin_test_with_one_of_slack(self):
+        phi = PhiSpec.parse("pow:1/4")  # the bar at x = 16 is exactly 2
+        assert density_out_of_reach(1, 16, 10**6, phi)  # 1 + 1 ties the bar
+        assert not density_out_of_reach(2, 16, 10**6, phi)
+        for count in range(0, 40):
+            for lo_x in (1, 16, 97, 4096, 10**5):
+                want = not density_exceeds(count + 1, lo_x, phi)
+                assert density_out_of_reach(count, lo_x, 10**6, phi) == want
+
+    def test_out_of_reach_at_the_demand_edge(self):
+        # the float bar is trusted only while the demand at hi_x is below 2**40
+        phi = PhiSpec.parse("pow:1/4")
+        below, above = 1, 2**200
+        assert density_demand(below, phi) < 2**40 <= density_demand(above, phi)
+        while above - below > 1:
+            mid = (below + above) // 2
+            if density_demand(mid, phi) < 2**40:
+                below = mid
+            else:
+                above = mid
+        assert density_out_of_reach(1, 16, below, phi)
+        assert not density_out_of_reach(1, 16, above, phi)
+        assert not density_out_of_reach(1, 16, 2**300, phi)
+
+    def test_out_of_reach_at_the_float_edge(self):
+        # past x = 2**2048 the bar is not trusted even where it is small
+        pow49 = PhiSpec.parse("pow:49/100")
+        assert density_demand(2**2048, pow49) < 2**21
+        assert density_out_of_reach(0, 2**100, 2**2048 - 1, pow49)  # bar 2 at 2**100
+        assert not density_out_of_reach(0, 2**100, 2**2048, pow49)
+        assert not density_out_of_reach(0, 2**100, 10**700, pow49)
 
     def test_default_cap_constant(self):
         assert DEFAULT_SEARCH_CAP == 10**9

@@ -177,6 +177,57 @@ class TestErdosTuran:
             assert len(D) == p
 
 
+def _reference_erdos_turan_sidon(n):
+    """erdos_turan_sidon as it was written: walk q upward over every q with
+    2*q*q <= n and keep the last prime."""
+    p = 2
+    q = 3
+    while 2 * q * q <= n:
+        if sidon_mod._is_prime(q):
+            p = q
+        q += 1
+    return SidonSet(sidon_mod._et_elements(p), n)
+
+
+def _upward_primes(bounds):
+    """(n, p) for increasing bounds n, p as the upward walk above finds it;
+    the walk for n continues the walk for the bound before it."""
+    p, q = 2, 3
+    for n in bounds:
+        while 2 * q * q <= n:
+            if sidon_mod._is_prime(q):
+                p = q
+            q += 1
+        yield n, p
+
+
+class TestDownwardPrime:
+    """erdos_turan_sidon counts p down from isqrt(n // 2) to the first prime;
+    the upward walk over every q must pick the same p."""
+
+    @pytest.fixture()
+    def chosen_prime(self, monkeypatch):
+        # the elements follow from p by the unchanged _et_elements; stubbing
+        # it to (p,) checks the choice of p at every n in little time
+        monkeypatch.setattr(sidon_mod, "_et_elements", lambda p: (p,))
+        return lambda n: erdos_turan_sidon(n).elements[0]
+
+    def test_every_bound_to_ten_to_the_fifth(self, chosen_prime):
+        for n, p in _upward_primes(range(8, 10**5 + 1)):
+            assert chosen_prime(n) == p, n
+
+    def test_both_sides_of_each_prime_bound(self, chosen_prime):
+        primes = [q for q in range(2, 7072) if sidon_mod._is_prime(q)]
+        assert primes[-1] == 7069
+        bounds = sorted({b for q in primes for b in (2 * q * q - 1, 2 * q * q, 2 * q * q + 1)})
+        for n, p in _upward_primes(b for b in bounds if b >= 8):
+            assert chosen_prime(n) == p, n
+
+    def test_whole_sets_match_the_upward_walk(self):
+        for n in (*range(8, 3001), 10**5, 10**6, 12345678, sidon_mod.SIDON_N_LIMIT):
+            assert erdos_turan_sidon(n) == _reference_erdos_turan_sidon(n), n
+
+
 class TestSidonSet:
     def test_density_flag(self):
         assert SidonSet((1, 2, 4), 5).density_ok()  # 36 > 5
