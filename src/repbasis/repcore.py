@@ -239,9 +239,10 @@ class TargetSequence:
     """Deterministic enumeration u_1, u_2, ... hitting every n exactly f(n)
     times in the limit.
 
-    Round t scans n = 0, 1, -1, ..., t, -t.  It emits n once per round
-    from the first round that scans n, round max(|n|, 1), until n has f(n)
-    emissions: exactly when t - max(|n|, 1) < f(n).
+    Round t covers n = 0, 1, -1, ..., t, -t.  It emits n once per round
+    from the first round that covers n, round max(|n|, 1), until n has f(n)
+    emissions: exactly when t - max(|n|, 1) < f(n).  Past the window only
+    |n| in (t - default, t] meet that, so a round scans the window and those.
     Prefixes are stable: growing the sequence never rewrites older terms.
     A sequence caches its emissions, so share one per owner.
     """
@@ -253,13 +254,15 @@ class TargetSequence:
 
     def _advance_round(self) -> None:
         self._round += 1
-        t = self._round
-        self._emitted.extend(n for n in self._spiral(t) if t - (abs(n) or 1) < self.source.value(n))
+        t, f = self._round, self.source
+        w = min(f.window_radius, t)
+        scan = chain((0,), self._ring(0, w), self._ring(max(w, t - f.default), t))
+        self._emitted.extend(n for n in scan if t - (abs(n) or 1) < f.value(n))
 
     @staticmethod
-    def _spiral(t: int) -> Iterator[int]:
-        yield 0
-        for m in range(1, t + 1):
+    def _ring(lo: int, hi: int) -> Iterator[int]:
+        """m, -m for every m with lo < m <= hi, in increasing m."""
+        for m in range(lo + 1, hi + 1):
             yield m
             yield -m
 

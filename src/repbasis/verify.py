@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from itertools import chain, combinations_with_replacement
+from itertools import chain, combinations_with_replacement, repeat
 
 from .construct import (
     KIND_BASE,
@@ -240,33 +240,32 @@ def check_decomposition(A: FiniteBasis, added, kind: str) -> DecompositionReport
         raise PreconditionViolatedError(
             f"an extension adjoins exactly two elements, got {len(added_tuple)}"
         )
-    return _decomposition(A, sum_counter(A), added_tuple, kind, sum_counter(A.union(added_tuple)))
+    return _decomposition(A, sum_counter(A), added_tuple, kind)[0]
 
 
 def _stage_decomposition(
-    prev: FiniteBasis, prev_counts: Counter, s: StageRecord, counts: Counter
-) -> DecompositionReport:
-    """Stage s's decomposition over the previous stage set.  The stage's own
-    pair-sum count is the brute-force recount whenever the stage set is
-    exactly prev plus added; only a stage that is not nested is recounted.
-    Kept apart from the stage walk so that a recount dies on return."""
+    prev: FiniteBasis, prev_counts: Counter, s: StageRecord
+) -> tuple[DecompositionReport, Counter]:
+    """Stage s's decomposition over the previous stage set, with the pair-sum
+    counts of prev plus s's added elements, derived from `prev_counts`."""
     if s.kind == KIND_EXTENSION and len(s.added) != 2:
         # an extension adjoins one pair, or nothing when its target was covered
         raise MalformedTraceError(
             f"extension stage {s.index} must add 0 or 2 elements, got {len(s.added)}"
         )
-    union = prev.union(s.added)
-    actual = counts if union == s.set else sum_counter(union)
-    return _decomposition(prev, prev_counts, s.added.elements, s.kind, actual)
+    return _decomposition(prev, prev_counts, s.added.elements, s.kind)
 
 
 def _decomposition(
-    A: FiniteBasis, old_sums: Counter, added: tuple[int, ...], kind: str, actual: Counter
-) -> DecompositionReport:
+    A: FiniteBasis, old_sums: Counter, added: tuple[int, ...], kind: str
+) -> tuple[DecompositionReport, Counter]:
     """The decomposition checks of A plus the sorted `added`, given the pair-sum
-    counts of A (`old_sums`) and of the union (`actual`)."""
+    counts of A (`old_sums`), and the union's pair-sum counts.  Those are not
+    recounted: with F the distinct added elements that A lacks, the union's
+    sums are, as a multiset, the old sums, a + t for a in A and t in F, and
+    t + t' for t <= t' in F."""
     u = added[0] + added[1] if kind == KIND_EXTENSION else None
-    cross = Counter(a + t for a in A for t in added)
+    cross = Counter(chain.from_iterable(map(t.__add__, A.elements) for t in added))
     self_part = Counter(s + t for s, t in combinations_with_replacement(added, 2))
     checks: list[CheckResult] = []
 
@@ -276,19 +275,23 @@ def _decomposition(
     checks.append(_disjoint_check("cross_self_disjoint", cross, self_part, exempt=None))
     checks.append(_disjoint_check("old_self_disjoint", old_sums, self_part, exempt=u))
 
-    # the piecewise formula on every old, cross and self sum: 1 on a new sum,
-    # the old count on an old one, one more than that at the covered target
-    expected = dict.fromkeys(chain(cross, self_part), 1)
-    expected.update(old_sums)
+    new = sorted(set(added).difference(A.elements))
+    actual = old_sums.copy()
+    actual.update(chain.from_iterable(map(t.__add__, (*A, *new[i:])) for i, t in enumerate(new)))
+
+    # the piecewise formula on every cross and self sum: 1 on a new sum, the old
+    # count on an old one, one more than that at the covered target; off those
+    # sums the formula and the union both give the old count
+    sums = dict.fromkeys(chain(cross, self_part))
+    expected = dict(zip(sums, map(old_sums.get, sums, repeat(1))))
     if u is not None:
         expected[u] = old_sums[u] + 1
     # one C-level comparison settles a full match; any other outcome is
     # decided, and its smallest witness named, by the per-sum scan
     mismatch = None
-    if not dict.__eq__(expected, actual):
+    if expected != dict(zip(sums, map(actual.__getitem__, sums))):
         mismatch = next(
-            ((n, expected[n], actual[n]) for n in sorted(expected) if actual[n] != expected[n]),
-            None,
+            (n, expected[n], actual[n]) for n in sorted(expected) if actual[n] != expected[n]
         )
     if mismatch:
         n, expected, got = mismatch
@@ -297,7 +300,7 @@ def _decomposition(
     else:
         checks.append(_ok("piecewise_formula", None, "piecewise counts match brute force"))
 
-    return DecompositionReport(kind=kind, checks=tuple(checks))
+    return DecompositionReport(kind=kind, checks=tuple(checks)), actual
 
 
 def _unique_part_check(name: str, part: Counter) -> CheckResult:
@@ -437,9 +440,10 @@ def verify_trace(trace: ConstructionTrace) -> VerificationReport:
     """Full oracle bundle: invariants, per-stage decompositions, exhausted
     equalities, and the pigeonhole bound at every (stage, checkpoint) pair.
 
-    One walk over the stages counts each stage's pair sums once.  That count
-    serves the stage's invariants, its own decomposition's brute-force
-    recount and, as the old sums, the next stage's decomposition.
+    One walk over the stages tallies each pair once: stage 1 and a stage that
+    is not nested are counted pair by pair, any other stage takes the count its
+    decomposition derives from its predecessor's.  A stage's count serves its
+    invariants and, as the old sums, the next stage's decomposition.
     """
     validate_trace_structure(trace)
     bounds = [(x, trace.f.max_finite(2 * x)) for _, x, _ in trace.checkpoints()]
@@ -450,10 +454,13 @@ def verify_trace(trace: ConstructionTrace) -> VerificationReport:
     # only the previous stage's count and the current one stay alive
     prev = prev_counts = None
     for s in trace.stages:
-        counts = sum_counter(s.set)
-        invariants += _stage_invariants(trace, s, prev, counts, floor)
+        union, union_counts = prev, prev_counts
         if s.kind != KIND_BASE and len(s.added) > 0:
-            decompositions.append((s.index, _stage_decomposition(prev, prev_counts, s, counts)))
+            report, union_counts = _stage_decomposition(prev, prev_counts, s)
+            decompositions.append((s.index, report))
+            union = prev.union(s.added)
+        counts = union_counts if union == s.set else sum_counter(s.set)
+        invariants += _stage_invariants(trace, s, prev, counts, floor)
         for x, r in bounds:
             if r is None:
                 continue

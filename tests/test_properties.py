@@ -1,11 +1,15 @@
 """Property tests: random field mutations of a built trace either fail to
 load as a malformed trace or verify into a report whose every failure
-names a witness, random walks of the Sidon ladder agree with its
-per-candidate reference, targets and traces survive their round trips,
-and the command line ends with status 0, 1 or 2 on any argument list.
-Examples are derandomized, so every run tests the same inputs."""
+names a witness, a checkpoint of about 10^700 is refused when negative and
+fails the density bar when positive, the union's pair-sum counts that a
+decomposition derives equal a recount, random walks of the Sidon ladder
+agree with its per-candidate reference, targets and traces survive their
+round trips, and the command line ends with status 0, 1 or 2 on any
+argument list.  Examples are derandomized, so every run tests the same
+inputs."""
 
 import copy
+import dataclasses
 import io
 import json
 from contextlib import redirect_stderr, redirect_stdout
@@ -17,22 +21,29 @@ from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from test_sidon import ReferenceLadder, same_state  # noqa: E402
+from test_verify import _reference_decomposition  # noqa: E402
 
 from repbasis import (  # noqa: E402
     INFINITY,
+    KIND_DENSIFICATION,
+    KIND_EXTENSION,
+    FiniteBasis,
     MalformedTraceError,
     PhiSpec,
     PhiTooSlowError,
     RepTarget,
     SidonLadder,
     build,
+    check_decomposition,
     cli,
+    sum_counter,
     trace_dumps,
     trace_from_dict,
     trace_loads,
     trace_to_dict,
     verify_trace,
 )
+from repbasis.verify import _decomposition  # noqa: E402
 
 BASE = trace_to_dict(build(RepTarget.constant(1), PhiSpec.parse("pow:1/4"), 1))
 
@@ -98,6 +109,67 @@ def test_mutation_is_malformed_or_witnessed(edits):
     assert all(c.witness is not None for c in failed)
     assert report.passed == (not failed and not report.equality.failures())
     assert json.loads(json.dumps(report.to_dict())) == report.to_dict()
+
+
+CHECKPOINTS = [pos for pos, stage in enumerate(BASE["stages"]) if "x" in stage]
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(st.sampled_from(CHECKPOINTS), st.sampled_from([1, -1]), st.integers(-10**6, 10**6))
+def test_huge_checkpoint_reaches_the_verifier(pos, sign, offset):
+    x = sign * (10**700 + offset)
+    data = copy.deepcopy(BASE)
+    data["stages"][pos]["x"] = x
+    trace = trace_from_dict(BASE)
+    stages = list(trace.stages)
+    stages[pos] = dataclasses.replace(stages[pos], x=x)
+    # a trace object skips the loader's checks; the verifier still checks x
+    mutated = dataclasses.replace(trace, stages=tuple(stages))
+    if x < 0:
+        with pytest.raises(MalformedTraceError) as refused:
+            verify_trace(mutated)
+        assert refused.value.code == "MALFORMED_TRACE"
+        with pytest.raises(MalformedTraceError):
+            trace_loads(json.dumps(data))
+        return
+    assert trace_loads(json.dumps(data)) == mutated
+    report = verify_trace(mutated)
+    failed = {(c.condition, c.stage, c.witness) for c in report.invariants.failures()}
+    assert ("condition_3_density", pos + 1, x) in failed
+
+
+@st.composite
+def decompositions(draw):
+    """A set A, 0 and negatives included, and an added list that may repeat
+    elements and reach into A, with a kind that fits its length."""
+    A = FiniteBasis.from_iterable(draw(st.lists(st.integers(-30, 30), max_size=12)))
+    pool = st.integers(-40, 40) | st.sampled_from((0, *A.elements))
+    kind = draw(st.sampled_from((KIND_EXTENSION, KIND_DENSIFICATION)))
+    n = 2 if kind == KIND_EXTENSION else draw(st.integers(1, 6))
+    return A, draw(st.lists(pool, min_size=n, max_size=n)), kind
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(decompositions())
+def test_derived_union_counts_equal_a_recount(case):
+    A, added, kind = case
+    union = sum_counter(A.union(added))
+    report, counts = _decomposition(A, sum_counter(A), tuple(sorted(added)), kind)
+    assert counts == union
+    assert check_decomposition(A, added, kind) == report
+    checks = {c.condition: c for c in report.checks}
+    witnesses, detail = _reference_decomposition(A, added, kind, union)
+    for name, witness in witnesses.items():
+        assert (checks[name].passed, checks[name].witness) == (witness is None, witness)
+    if detail is not None:
+        assert checks["piecewise_formula"].detail == detail
+
+
+def test_repeated_added_element_is_tallied_once():
+    report = check_decomposition(FiniteBasis((1, 2, 3, 4)), (5, 5), KIND_DENSIFICATION)
+    piecewise = report.checks[-1]
+    assert (piecewise.condition, piecewise.witness) == ("piecewise_formula", 6)
+    assert piecewise.detail == "rep count at n=6 is 3, piecewise formula gives 2"
 
 
 def _outcome(call, *args):

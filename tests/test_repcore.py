@@ -359,6 +359,13 @@ class TestClosedFormEnumeration:
             m = rng.randint(0, 300)
             assert TargetSequence(f).prefix(m) == ReferenceTargetSequence(f).prefix(m), f
 
+    def test_long_prefixes(self):
+        # a round scans the window and the ring |n| in (t - default, t] only
+        rng = random.Random(50)
+        window = RepTarget(50, {n: rng.choice((0, 1, 2, 3, 5, INFINITY)) for n in range(-50, 51)}, 2)
+        for f in (RepTarget.constant(1), RepTarget.constant(3), window):
+            assert TargetSequence(f).prefix(4000) == ReferenceTargetSequence(f).prefix(4000), f
+
     def test_prefixes_grown_on_one_sequence(self):
         rng = random.Random(8)
         for f in (*self.NAMED, *(_random_target(rng) for _ in range(40))):

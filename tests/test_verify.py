@@ -1,6 +1,7 @@
 """Oracle checks: invariants, decompositions, equalities, and mutations."""
 
 import copy
+import itertools
 import json
 from collections import Counter
 from itertools import combinations_with_replacement
@@ -412,21 +413,42 @@ class TestOnePass:
             assert not checks["piecewise_formula"].passed
             assert pair_bounds[2].passed == (f is F_TWOS)
 
-    def test_each_nested_stage_is_counted_once(self, ones_trace, monkeypatch):
-        sizes = []
-        monkeypatch.setattr(
-            repbasis.verify, "sum_counter", lambda A: sizes.append(len(A)) or sum_counter(A)
-        )
-        verify_trace(ones_trace)
-        assert sizes == [len(s.set) for s in ones_trace.stages]
-
-    def test_stages_that_are_not_nested_are_recounted(self, ones_trace, monkeypatch):
-        data = trace_to_dict(ones_trace)
-        _drop_inherited(data)
+    def test_a_nested_trace_is_counted_at_stage_1_only(self, ones_trace, monkeypatch):
+        # every later stage takes the count its decomposition derives
         calls = []
         monkeypatch.setattr(
             repbasis.verify, "sum_counter", lambda A: calls.append(A) or sum_counter(A)
         )
-        verify_trace(trace_from_dict(data))
-        # one count per stage plus the unions of stages 2 and 3
-        assert len(calls) == len(data["stages"]) + 2
+        verify_trace(ones_trace)
+        assert calls == [ones_trace.stages[0].set]
+        # an extension that adds nothing reuses its predecessor's count
+        data = trace_to_dict(ones_trace)
+        first, second, third = data["stages"]
+        second.update(set=first["set"], added=[])
+        third["added"] = sorted(set(third["set"]) - set(first["set"]))
+        calls.clear()
+        report = verify_trace(trace_from_dict(data))
+        assert calls == [ones_trace.stages[0].set]
+        assert [idx for idx, _ in report.decompositions] == [3]
+
+    def test_only_stage_1_and_stages_that_are_not_nested_are_counted(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(
+            repbasis.verify, "sum_counter", lambda A: calls.append(A) or sum_counter(A)
+        )
+        for (f, phi), mutation in itertools.product(BUILT, sorted(MUTATIONS)):
+            data = trace_to_dict(build(f, phi, 1))
+            MUTATIONS[mutation](data)
+            trace = trace_from_dict(data)
+            calls.clear()
+            verify_trace(trace)
+            stages = trace.stages
+            expected = [stages[0].set] + [
+                s.set for prev, s in zip(stages, stages[1:]) if prev.set.union(s.added) != s.set
+            ]
+            assert calls == expected, mutation
+            if mutation == "drop_inherited":
+                # stage 2 lost an inherited element, and stage 3 still holds it
+                assert calls == [s.set for s in stages]
+            elif mutation in ("none", "inflate_x", "f_zero"):
+                assert calls == [stages[0].set]
