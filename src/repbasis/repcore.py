@@ -255,14 +255,14 @@ class TargetSequence:
     def _advance_round(self) -> None:
         self._round += 1
         t, f = self._round, self.source
-        w = min(f.window_radius, t)
-        scan = chain((0,), self._ring(0, w), self._ring(max(w, t - f.default), t))
-        self._emitted.extend(n for n in scan if t - (abs(n) or 1) < f.value(n))
+        w, lo, value = f.window_radius, t - f.default, f.value
+        ms = range(1, t + 1) if lo <= w else chain(range(1, w + 1), range(lo + 1, t + 1))
+        self._emitted.extend(n for n in self._spiral(ms) if t - (abs(n) or 1) < value(n))
 
     @staticmethod
-    def _ring(lo: int, hi: int) -> Iterator[int]:
-        """m, -m for every m with lo < m <= hi, in increasing m."""
-        for m in range(lo + 1, hi + 1):
+    def _spiral(ms: Iterable[int]) -> Iterator[int]:
+        yield 0
+        for m in ms:
             yield m
             yield -m
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from itertools import chain, combinations_with_replacement, repeat
+from itertools import chain, combinations_with_replacement
 
 from .construct import (
     KIND_BASE,
@@ -265,7 +265,7 @@ def _decomposition(
     sums are, as a multiset, the old sums, a + t for a in A and t in F, and
     t + t' for t <= t' in F."""
     u = added[0] + added[1] if kind == KIND_EXTENSION else None
-    cross = Counter(chain.from_iterable(map(t.__add__, A.elements) for t in added))
+    cross = Counter(a + t for a in A for t in added)
     self_part = Counter(s + t for s, t in combinations_with_replacement(added, 2))
     checks: list[CheckResult] = []
 
@@ -277,19 +277,18 @@ def _decomposition(
 
     new = sorted(set(added).difference(A.elements))
     actual = old_sums.copy()
-    actual.update(chain.from_iterable(map(t.__add__, (*A, *new[i:])) for i, t in enumerate(new)))
+    actual.update(chain.from_iterable(map(t.__add__, chain(A, new[i:])) for i, t in enumerate(new)))
 
     # the piecewise formula on every cross and self sum: 1 on a new sum, the old
     # count on an old one, one more than that at the covered target; off those
     # sums the formula and the union both give the old count
-    sums = dict.fromkeys(chain(cross, self_part))
-    expected = dict(zip(sums, map(old_sums.get, sums, repeat(1))))
-    if u is not None:
-        expected[u] = old_sums[u] + 1
-    # one C-level comparison settles a full match; any other outcome is
-    # decided, and its smallest witness named, by the per-sum scan
+    expected = dict.fromkeys(chain(cross, self_part), 1)
+    for n in expected.keys() & old_sums.keys():
+        expected[n] = old_sums[n] + (n == u)
+    # one C-level comparison settles a full match, as every cross and self sum
+    # is a key of `actual`; otherwise the per-sum scan names the smallest witness
     mismatch = None
-    if expected != dict(zip(sums, map(actual.__getitem__, sums))):
+    if not expected.items() <= actual.items():
         mismatch = next(
             (n, expected[n], actual[n]) for n in sorted(expected) if actual[n] != expected[n]
         )

@@ -1,10 +1,9 @@
 """Oracle checks: invariants, decompositions, equalities, and mutations."""
 
 import copy
-import itertools
 import json
 from collections import Counter
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, product
 
 import pytest
 
@@ -436,7 +435,7 @@ class TestOnePass:
         monkeypatch.setattr(
             repbasis.verify, "sum_counter", lambda A: calls.append(A) or sum_counter(A)
         )
-        for (f, phi), mutation in itertools.product(BUILT, sorted(MUTATIONS)):
+        for (f, phi), mutation in product(BUILT, sorted(MUTATIONS)):
             data = trace_to_dict(build(f, phi, 1))
             MUTATIONS[mutation](data)
             trace = trace_from_dict(data)
