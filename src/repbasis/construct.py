@@ -4,7 +4,8 @@ A run alternates two moves.  An extension stage adjoins a pair {-c, c+u}
 so the next target value u gains one representation.  A densification
 stage adjoins a dilated Sidon set so the element count inside [-x, x]
 beats sqrt(x)/phi(x) at a recorded checkpoint x.  Both moves keep every
-pair-sum count at or below the prescribed bound f.
+pair-sum count at or below the prescribed bound f, so `build` runs them
+directly; the public `extend_target` and `densify` check their inputs first.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ import math
 import os
 from collections import Counter
 from dataclasses import dataclass
-from operator import le
 
 from .errors import MalformedTraceError, PhiTooSlowError, PreconditionViolatedError
 from .repcore import (
@@ -27,6 +27,7 @@ from .repcore import (
     d0_of,
     density_exceeds,
     density_out_of_reach,
+    rep_function,
     sum_counter,
     target_prefix,
 )
@@ -83,8 +84,12 @@ class StageRecord:
     kind: str
     set: FiniteBasis
     added: FiniteBasis
-    m_covered: int
     x: int | None = None
+
+    @property
+    def m_covered(self) -> int:
+        """How many leading targets the stage certifies, fixed by its index."""
+        return expected_m_covered(self.index)
 
 
 @dataclass(frozen=True, eq=True)
@@ -104,17 +109,6 @@ class ConstructionTrace:
 
 def _reject_bad_pair_counts(A: FiniteBasis, f: RepTarget, context: str) -> Counter:
     counts = sum_counter(A)
-    # settle the common case, every count within f, at C level: the sums in
-    # the window against their values (the key intersection walks the smaller
-    # of window and Counter), the rest against the default, by one max over
-    # all counts when that suffices, as it spares building the set of sums
-    # outside the window; otherwise the sorted scan finds the witness
-    inside = counts.keys() & f.values.keys()
-    if all(map(le, map(counts.__getitem__, inside), map(f.values.__getitem__, inside))) and (
-        max(counts.values(), default=0) <= f.default
-        or max(map(counts.__getitem__, counts.keys() - inside), default=0) <= f.default
-    ):
-        return counts
     for n in sorted(counts):
         fv = f.value(n)
         if counts[n] > fv:
@@ -204,7 +198,33 @@ def base_case(
     A1 = FiniteBasis.from_iterable([scale * d for d in D] + [-c, c + u1])
     # the dilation spreads D past both tag elements, so nothing collides
     assert len(A1) == len(D) + 2 and counting(A1, -x, x) == len(A1)
-    return StageRecord(index=1, kind=KIND_BASE, set=A1, added=A1, m_covered=1, x=x)
+    return StageRecord(index=1, kind=KIND_BASE, set=A1, added=A1, x=x)
+
+
+def _extension_pair(A: FiniteBasis, f: RepTarget, prefix) -> tuple[int, ...]:
+    """The pair {-c, c+u}, u = prefix[-1], that gives u one more
+    representation in A; () when A already represents u as many times as
+    the prefix names it.  c lies past max|a|, so no other pair sum moves."""
+    target = prefix[-1]
+    if rep_function(A, target) >= prefix.count(target):
+        return ()
+    d = max(d0_of(f), abs(target), A.max_abs())
+    c = 4 * d + 1 if target >= 0 else -(4 * d + 1)
+    return (-c, c + target)
+
+
+def _dilated_sidon(
+    A: FiniteBasis, f: RepTarget, phi: PhiSpec, M: int, cap: int
+) -> tuple[FiniteBasis, int]:
+    """The dilated Sidon set that lifts A's count in [-x, x] past
+    sqrt(x)/phi(x) at the first multiple x > M of 5T, T = max(d0, max|a|),
+    where it can; returns (D, x)."""
+    scale = 5 * max(d0_of(f), A.max_abs())
+    _, x, D = _density_search(phi, scale, len(A), M, cap, "densification scan")
+    dilated = FiniteBasis.from_iterable(scale * d for d in D)
+    # every new element lands in (max|a|, x], so the union count is exact
+    assert A.max_abs() < dilated.elements[0] and dilated.elements[-1] <= x
+    return dilated, x
 
 
 def extend_target(A: FiniteBasis, f: RepTarget, u: TargetSequence, m: int) -> FiniteBasis:
@@ -218,7 +238,6 @@ def extend_target(A: FiniteBasis, f: RepTarget, u: TargetSequence, m: int) -> Fi
     if m < 0:
         raise ValueError("m must be >= 0")
     prefix = u.prefix(m + 1)
-    target = prefix[-1]
     _reject_zero_member(A, "extension")
     counts = _reject_bad_pair_counts(A, f, "extension")
     needed_before = Counter(prefix[:m])
@@ -229,11 +248,8 @@ def extend_target(A: FiniteBasis, f: RepTarget, u: TargetSequence, m: int) -> Fi
                 f"(have {counts[n]}, need {needed_before[n]})",
                 witness=n,
             )
-    if counts[target] >= prefix.count(target):
-        return A
-    d = max(d0_of(f), abs(target), A.max_abs())
-    c = 4 * d + 1 if target >= 0 else -(4 * d + 1)
-    return A.union((-c, c + target))
+    pair = _extension_pair(A, f, prefix)
+    return A.union(pair) if pair else A
 
 
 def densify(
@@ -248,7 +264,8 @@ def densify(
     sqrt(x)/phi(x) at some checkpoint x > M.
 
     x runs over multiples of 5T, T = max(d0, max|a|); the first multiple
-    whose counted density clears the bar is kept.  Returns (B, x).
+    whose counted density clears the bar is kept.  Requires that A never
+    exceeds f and omits 0.  Returns (B, x).
     """
     phi = _as_phi(phi)
     cap = resolve_search_cap(search_cap)
@@ -256,13 +273,8 @@ def densify(
         raise PreconditionViolatedError(f"densification: M must be >= 1, got {M}")
     _reject_zero_member(A, "densification")
     _reject_bad_pair_counts(A, f, "densification")
-    T = max(d0_of(f), A.max_abs())
-    scale = 5 * T
-    n, x, D = _density_search(phi, scale, len(A), M, cap, "densification scan")
-    B = A.union(scale * d for d in D)
-    # every new element lands in (max|a|, x], so the union count is exact
-    assert len(B) == len(A) + len(D) and counting(B, -x, x) == len(B)
-    return B, x
+    D, x = _dilated_sidon(A, f, phi, M, cap)
+    return A.union(D), x
 
 
 def build(
@@ -275,7 +287,10 @@ def build(
     """Run the base stage plus L extension/densification rounds.
 
     Produces 2L+1 stages and L+1 checkpoints; stage 2l covers target
-    u_{l+1} and stage 2l+1 certifies checkpoint x_{l+1} > x_l.
+    u_{l+1} and stage 2l+1 certifies checkpoint x_{l+1} > x_l.  Each move
+    keeps every pair-sum count within f by design, so the rounds run the
+    moves without the public functions' input checks and count no pair
+    sums; verify_trace re-checks every claim.
 
     phi may be given as a spec string such as "log2" or "pow:1/4".
     """
@@ -283,37 +298,16 @@ def build(
         raise ValueError(f"stage count L must be an integer >= 1, got {L!r}")
     phi = _as_phi(phi)
     cap = resolve_search_cap(search_cap)
-    useq = TargetSequence(f)
-    u_prefix = tuple(useq.prefix(L + 1))
+    u_prefix = tuple(target_prefix(f, L + 1))
     stages = [base_case(f, phi, search_cap=cap)]
     for l in range(1, L + 1):
         previous = stages[-1]
-        extended = extend_target(previous.set, f, useq, l)
-        stages.append(
-            StageRecord(
-                index=2 * l,
-                kind=KIND_EXTENSION,
-                set=extended,
-                added=_difference(extended, previous.set),
-                m_covered=l + 1,
-            )
-        )
-        dense, x = densify(extended, f, phi, previous.x, search_cap=cap)
-        stages.append(
-            StageRecord(
-                index=2 * l + 1,
-                kind=KIND_DENSIFICATION,
-                set=dense,
-                added=_difference(dense, extended),
-                m_covered=l + 1,
-                x=x,
-            )
-        )
+        pair = FiniteBasis.from_iterable(_extension_pair(previous.set, f, u_prefix[: l + 1]))
+        extended = previous.set.union(pair)
+        stages.append(StageRecord(2 * l, KIND_EXTENSION, extended, pair))
+        D, x = _dilated_sidon(extended, f, phi, previous.x, cap)
+        stages.append(StageRecord(2 * l + 1, KIND_DENSIFICATION, extended.union(D), D, x))
     return ConstructionTrace(f=f, phi=phi, u_prefix=u_prefix, stages=tuple(stages))
-
-
-def _difference(bigger: FiniteBasis, smaller: FiniteBasis) -> FiniteBasis:
-    return FiniteBasis(tuple(e for e in bigger if e not in smaller))
 
 
 def validate_trace_structure(trace: ConstructionTrace) -> None:
@@ -338,11 +332,6 @@ def validate_trace_structure(trace: ConstructionTrace) -> None:
             raise MalformedTraceError(f"stage {pos} must carry x exactly when its index is odd")
         if s.x is not None and s.x < 1:
             raise MalformedTraceError(f"stage {pos} checkpoint x must be positive, got {s.x}")
-        if s.m_covered != expected_m_covered(pos):
-            raise MalformedTraceError(
-                f"stage {pos} m_covered {s.m_covered} does not match position "
-                f"(want {expected_m_covered(pos)})"
-            )
     want_targets = (len(stages) + 1) // 2
     if len(trace.u_prefix) != want_targets:
         raise MalformedTraceError(
@@ -446,7 +435,6 @@ def trace_from_dict(data) -> ConstructionTrace:
                 kind=raw["kind"],
                 set=_strict_basis(raw["set"], f"stage {pos} set"),
                 added=_strict_basis(raw["added"], f"stage {pos} added"),
-                m_covered=expected_m_covered(index),
                 x=x,
             )
         )

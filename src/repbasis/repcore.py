@@ -241,8 +241,9 @@ class TargetSequence:
 
     Round t covers n = 0, 1, -1, ..., t, -t.  It emits n once per round
     from the first round that covers n, round max(|n|, 1), until n has f(n)
-    emissions: exactly when t - max(|n|, 1) < f(n).  Past the window only
-    |n| in (t - default, t] meet that, so a round scans the window and those.
+    emissions: exactly when t - max(|n|, 1) < f(n).  Once that fails for n
+    it fails in every later round, so a round emits the previous round's
+    list plus the newly covered n, less those whose emissions are spent.
     Prefixes are stable: growing the sequence never rewrites older terms.
     A sequence caches its emissions, so share one per owner.
     """
@@ -250,21 +251,15 @@ class TargetSequence:
     def __init__(self, source: RepTarget):
         self.source = source
         self._emitted: list[int] = []
+        self._live: list[int] = []  # the last round's terms, in the order 0, 1, -1, 2, -2, ...
         self._round = 0
 
     def _advance_round(self) -> None:
         self._round += 1
-        t, f = self._round, self.source
-        w, lo, value = f.window_radius, t - f.default, f.value
-        ms = range(1, t + 1) if lo <= w else chain(range(1, w + 1), range(lo + 1, t + 1))
-        self._emitted.extend(n for n in self._spiral(ms) if t - (abs(n) or 1) < value(n))
-
-    @staticmethod
-    def _spiral(ms: Iterable[int]) -> Iterator[int]:
-        yield 0
-        for m in ms:
-            yield m
-            yield -m
+        t, value = self._round, self.source.value
+        self._live.extend((0, 1, -1) if t == 1 else (t, -t))
+        self._live = [n for n in self._live if t - (abs(n) or 1) < value(n)]
+        self._emitted.extend(self._live)
 
     def prefix(self, m: int) -> list[int]:
         """The first m terms (m >= 0)."""

@@ -31,8 +31,8 @@ from repbasis import (
     trace_from_dict,
     trace_loads,
     trace_to_dict,
-    validate_trace_structure,
 )
+from repbasis import construct
 from repbasis.construct import (
     _density_search,
     _lindstrom_last,
@@ -223,6 +223,26 @@ class TestBuild:
         with pytest.raises(ValueError):
             build(F_ONES, LOG2, L)
 
+    @pytest.mark.parametrize("f", [F_ONES, F_TWOS, F_ZEROS, RepTarget.constant(INFINITY)],
+                             ids=["ones", "twos", "zeros", "inf"])
+    def test_rounds_match_the_public_moves(self, f):
+        # build runs the moves without their input checks; the checked
+        # public functions must give the same stages
+        phi = PhiSpec.parse("pow:2/5")
+        stages = build(f, phi, 4).stages
+        for l in range(1, 5):
+            before, extension, dense = stages[2 * l - 2], stages[2 * l - 1], stages[2 * l]
+            assert extension.set == extend_target(before.set, f, TargetSequence(f), l)
+            assert (dense.set, dense.x) == densify(extension.set, f, phi, before.x)
+
+    def test_rounds_count_no_pair_sums(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("build must not count pair sums")
+
+        for name in ("sum_counter", "_reject_bad_pair_counts", "_reject_zero_member"):
+            monkeypatch.setattr(construct, name, refuse)
+        assert build(F_ZEROS, "pow:2/5", 4).stages[-1].x == 14570530
+
     def test_phi_accepts_spec_string(self):
         assert build(F_ONES, "log2", 1) == build(F_ONES, LOG2, 1)
 
@@ -247,12 +267,16 @@ class TestStagePositions:
         assert expected_kind(2) == expected_kind(8) == KIND_EXTENSION
         assert expected_kind(3) == expected_kind(9) == KIND_DENSIFICATION
 
-    def test_wrong_m_covered_is_structural(self):
+    def test_m_covered_is_derived_from_the_index(self):
+        # a stage cannot carry a count of covered targets that its index
+        # contradicts: the count is not stored
         trace = build(F_ONES, LOG2, 1)
-        bad = dataclasses.replace(trace.stages[2], m_covered=9)
-        mutated = dataclasses.replace(trace, stages=(*trace.stages[:2], bad))
-        with pytest.raises(MalformedTraceError):
-            validate_trace_structure(mutated)
+        with pytest.raises(TypeError):
+            dataclasses.replace(trace.stages[2], m_covered=9)
+        loaded = trace_loads(trace_dumps(build(F_ZEROS, "pow:2/5", 2)))
+        assert [s.m_covered for s in loaded.stages] == [
+            expected_m_covered(s.index) for s in loaded.stages
+        ] == [1, 2, 2, 3, 3]
 
 
 @pytest.fixture()
@@ -610,24 +634,7 @@ class TestPairCountPrecondition:
         assert kinds["inside"] > 0 or name == "inf_origin", kinds
         assert kinds["outside"] > 0 or name == "inf_default", kinds
 
-    def test_valid_sets_settle_without_looking_up_f(self, monkeypatch):
-        looked_up = []
-        original = RepTarget.value
-
-        def spy(self, n):
-            looked_up.append(n)
-            return original(self, n)
-
-        monkeypatch.setattr(RepTarget, "value", spy)
-        # Mian-Chowla shifted by one, so no pair sum meets F_ZEROS' zeros
-        mian_chowla = FiniteBasis((2, 3, 5, 9, 14, 22, 32, 46, 67, 82))
-        for f in self.FS.values():
-            assert _reject_bad_pair_counts(mian_chowla, f, "extension") == sum_counter(mian_chowla)
-        # two pairs sum to 0, which the window allows and the default does not
-        symmetric = FiniteBasis((-2, -1, 1, 2))
-        for f in (self.FS["inf_origin"], self.FS["origin_above_default"]):
-            assert _reject_bad_pair_counts(symmetric, f, "extension") == sum_counter(symmetric)
-        assert looked_up == []
+    def test_names_the_smallest_violation(self):
         with pytest.raises(PreconditionViolatedError) as err:
             _reject_bad_pair_counts(FiniteBasis((1, 2, 3)), F_ONES, "densification")
         assert err.value.witness == 4

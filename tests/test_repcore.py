@@ -337,8 +337,9 @@ def _random_target(rng):
 
 
 class TestClosedFormEnumeration:
-    """TargetSequence emits n in round t exactly when t - max(|n|, 1) < f(n);
-    the Counter-based reference must give the same terms."""
+    """TargetSequence emits n in round t exactly when t - max(|n|, 1) < f(n),
+    keeping the last round's list; the Counter-based reference must give the
+    same terms."""
 
     NAMED = (
         RepTarget.constant(1),
@@ -360,11 +361,33 @@ class TestClosedFormEnumeration:
             assert TargetSequence(f).prefix(m) == ReferenceTargetSequence(f).prefix(m), f
 
     def test_long_prefixes(self):
-        # a round scans the window and the ring |n| in (t - default, t] only
         rng = random.Random(50)
         window = RepTarget(50, {n: rng.choice((0, 1, 2, 3, 5, INFINITY)) for n in range(-50, 51)}, 2)
         for f in (RepTarget.constant(1), RepTarget.constant(3), window):
             assert TargetSequence(f).prefix(4000) == ReferenceTargetSequence(f).prefix(4000), f
+
+    def test_wide_window(self):
+        ones = RepTarget(10**4, {n: 1 for n in range(-(10**4), 10**4 + 1)}, 1)
+        assert TargetSequence(ones).prefix(1000) == ReferenceTargetSequence(ones).prefix(1000)
+
+    @pytest.mark.parametrize("f", [
+        RepTarget.constant(1),
+        RepTarget(10**4, {n: 1 for n in range(-(10**4), 10**4 + 1)}, 1),
+    ], ids=["ones", "wide_window"])
+    def test_lookups_per_term(self, f, monkeypatch):
+        # a round looks up what the last round emitted and the two newly
+        # covered n, never the spent n inside the window
+        looked_up = 0
+        original = RepTarget.value
+
+        def spy(self, n):
+            nonlocal looked_up
+            looked_up += 1
+            return original(self, n)
+
+        monkeypatch.setattr(RepTarget, "value", spy)
+        assert len(TargetSequence(f).prefix(4000)) == 4000
+        assert looked_up <= 8000
 
     def test_prefixes_grown_on_one_sequence(self):
         rng = random.Random(8)

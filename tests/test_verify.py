@@ -272,6 +272,33 @@ class TestVerifyTrace:
         assert not report.passed
         assert any("condition_3_density" in line for line in report.failures())
 
+    def test_added_element_already_present(self, ones_trace):
+        data = trace_to_dict(ones_trace)
+        data["stages"][2]["added"] = [-4, 490]
+        report = verify_trace(trace_from_dict(data))
+        nesting = [c for c in report.invariants.failures() if c.condition == "nesting"]
+        assert [(c.stage, c.witness) for c in nesting] == [(3, -4)]
+
+    def test_upper_bound_failure(self):
+        data = {
+            "f": F_ONES.to_dict(),
+            "phi": "log2",
+            "u_prefix": [0],
+            "stages": [{"index": 1, "kind": KIND_BASE, "set": [-2, -1, 1, 2],
+                        "added": [-2, -1, 1, 2], "x": 2}],
+        }
+        report = verify_trace(trace_from_dict(data))
+        # k = 4 elements in [-2, 2], k(k+1)/2 = 10 > 1 * (4*2 + 1)
+        assert [(c.stage, c.witness, c.passed) for c in report.upper_bounds] == [(1, 2, False)]
+        assert "upper_bound stage=1 witness=2: k=4, k(k+1)/2=10, bound r(4x+1)=9" in (
+            report.failures()
+        )
+
+    def test_no_finite_bound_no_upper_bound_checks(self):
+        report = verify_trace(build(RepTarget.constant(INFINITY), LOG2, 1))
+        assert report.passed
+        assert report.upper_bounds == ()
+
 
 def _bundle_from_oracles(trace) -> dict:
     """verify_trace's report, assembled from the public oracles one by one."""
