@@ -341,6 +341,7 @@ class TestClosedFormEnumeration:
     keeping the last round's list; the Counter-based reference must give the
     same terms."""
 
+    WIDE_ONES = RepTarget(10**4, {n: 1 for n in range(-(10**4), 10**4 + 1)}, 1)
     NAMED = (
         RepTarget.constant(1),
         RepTarget.constant(2),
@@ -367,13 +368,10 @@ class TestClosedFormEnumeration:
             assert TargetSequence(f).prefix(4000) == ReferenceTargetSequence(f).prefix(4000), f
 
     def test_wide_window(self):
-        ones = RepTarget(10**4, {n: 1 for n in range(-(10**4), 10**4 + 1)}, 1)
-        assert TargetSequence(ones).prefix(1000) == ReferenceTargetSequence(ones).prefix(1000)
+        f = self.WIDE_ONES
+        assert TargetSequence(f).prefix(1000) == ReferenceTargetSequence(f).prefix(1000)
 
-    @pytest.mark.parametrize("f", [
-        RepTarget.constant(1),
-        RepTarget(10**4, {n: 1 for n in range(-(10**4), 10**4 + 1)}, 1),
-    ], ids=["ones", "wide_window"])
+    @pytest.mark.parametrize("f", [RepTarget.constant(1), WIDE_ONES], ids=["ones", "wide_window"])
     def test_lookups_per_term(self, f, monkeypatch):
         # a round looks up what the last round emitted and the two newly
         # covered n, never the spent n inside the window
