@@ -379,10 +379,11 @@ def _int_list(raw, what: str) -> list[int]:
 
 
 def _strict_basis(raw, what: str) -> FiniteBasis:
-    values = _int_list(raw, what)
-    if any(values[i] >= values[i + 1] for i in range(len(values) - 1)):
-        raise MalformedTraceError(f"{what} must be strictly increasing")
-    return FiniteBasis(tuple(values))
+    values = tuple(_int_list(raw, what))
+    try:  # the entries are integers, so FiniteBasis can refuse only their order
+        return FiniteBasis(values)
+    except ValueError:
+        raise MalformedTraceError(f"{what} must be strictly increasing") from None
 
 
 def trace_from_dict(data) -> ConstructionTrace:

@@ -110,7 +110,8 @@ def check_invariants(trace: ConstructionTrace) -> InvariantReport:
     checks: list[CheckResult] = []
     prev: FiniteBasis | None = None
     for s in trace.stages:
-        checks += _stage_invariants(trace, s, prev, sum_counter(s.set), floor)
+        counts = sum_counter(s.set)
+        checks += _stage_invariants(trace, s, prev, counts, max(counts.values(), default=0), floor)
         prev = s.set
     return InvariantReport(tuple(checks + _trace_invariants(trace)))
 
@@ -125,11 +126,12 @@ def _stage_invariants(
     s: StageRecord,
     prev: FiniteBasis | None,
     counts: Counter,
+    top: int,
     floor: int | float,
 ) -> list[CheckResult]:
     """Zero-freeness, nesting, pair bound, coverage and density of one stage;
-    `counts` is the stage's pair-sum Counter and `floor` is
-    _smallest_value(trace.f)."""
+    `counts` is the stage's pair-sum Counter, `top` its largest count and
+    `floor` is _smallest_value(trace.f)."""
     f = trace.f
     checks: list[CheckResult] = []
     if 0 in s.set:
@@ -141,7 +143,7 @@ def _stage_invariants(
 
     # counts that all stay within the smallest prescribed value meet every
     # bound; any larger count sends the check through the per-sum scan
-    if max(counts.values(), default=0) <= floor:
+    if top <= floor:
         n = None
     else:
         n = min((n for n, r in counts.items() if r > f.value(n)), default=None)
@@ -243,68 +245,60 @@ def check_decomposition(A: FiniteBasis, added, kind: str) -> DecompositionReport
     return _decomposition(A, sum_counter(A), added_tuple, kind)[0]
 
 
-def _stage_decomposition(
-    prev: FiniteBasis, prev_counts: Counter, s: StageRecord
-) -> tuple[DecompositionReport, Counter]:
-    """Stage s's decomposition over the previous stage set, with the pair-sum
-    counts of prev plus s's added elements, derived from `prev_counts`."""
-    if s.kind == KIND_EXTENSION and len(s.added) != 2:
-        # an extension adjoins one pair, or nothing when its target was covered
-        raise MalformedTraceError(
-            f"extension stage {s.index} must add 0 or 2 elements, got {len(s.added)}"
-        )
-    return _decomposition(prev, prev_counts, s.added.elements, s.kind)
-
-
 def _decomposition(
-    A: FiniteBasis, old_sums: Counter, added: tuple[int, ...], kind: str
+    A: FiniteBasis, sums: Counter, added: tuple[int, ...], kind: str
 ) -> tuple[DecompositionReport, Counter]:
+    """The decomposition report of A plus the sorted `added`, and the union's
+    pair-sum counts: `sums`, the counts of A, updated in place."""
+    return _decompose(A, sums, added, kind)[0], sums
+
+
+def _decompose(
+    A: FiniteBasis, sums: Counter, added: tuple[int, ...], kind: str
+) -> tuple[DecompositionReport, int]:
     """The decomposition checks of A plus the sorted `added`, given the pair-sum
-    counts of A (`old_sums`), and the union's pair-sum counts.  Those are not
-    recounted: with F the distinct added elements that A lacks, the union's
-    sums are, as a multiset, the old sums, a + t for a in A and t in F, and
-    t + t' for t <= t' in F."""
+    counts of A (`sums`), which become the union's in place, and the largest
+    union count on a cross or self sum.  With F the distinct added elements
+    that A lacks, the union's sums are, as a multiset, the old sums, a + t for
+    a in A and t in F, and t + t' for t <= t' in F."""
+    els, m = A.elements, len(added)
     u = added[0] + added[1] if kind == KIND_EXTENSION else None
-    cross = Counter(a + t for a in A for t in added)
+    cross = Counter(chain.from_iterable(map(t.__add__, els) for t in added))
     self_part = Counter(s + t for s, t in combinations_with_replacement(added, 2))
     checks: list[CheckResult] = []
 
-    checks.append(_unique_part_check("cross_part_unique", cross))
-    checks.append(_unique_part_check("self_part_unique", self_part))
-    checks.append(_disjoint_check("old_cross_disjoint", old_sums, cross, exempt=None))
+    checks.append(_unique_part_check("cross_part_unique", cross, len(els) * m))
+    checks.append(_unique_part_check("self_part_unique", self_part, m * (m + 1) // 2))
+    checks.append(_disjoint_check("old_cross_disjoint", sums, cross, exempt=None))
     checks.append(_disjoint_check("cross_self_disjoint", cross, self_part, exempt=None))
-    checks.append(_disjoint_check("old_self_disjoint", old_sums, self_part, exempt=u))
-
-    new = sorted(set(added).difference(A.elements))
-    actual = old_sums.copy()
-    actual.update(chain.from_iterable(map(t.__add__, chain(A, new[i:])) for i, t in enumerate(new)))
+    checks.append(_disjoint_check("old_self_disjoint", sums, self_part, exempt=u))
 
     # the piecewise formula on every cross and self sum: 1 on a new sum, the old
     # count on an old one, one more than that at the covered target; off those
     # sums the formula and the union both give the old count
     expected = dict.fromkeys(chain(cross, self_part), 1)
-    for n in expected.keys() & old_sums.keys():
-        expected[n] = old_sums[n] + (n == u)
+    for n in expected.keys() & sums.keys():
+        expected[n] = sums[n] + (n == u)
+
+    new = sorted(set(added).difference(els))
+    sums.update(chain.from_iterable(map(t.__add__, chain(els, new[i:])) for i, t in enumerate(new)))
     # one C-level comparison settles a full match, as every cross and self sum
-    # is a key of `actual`; otherwise the per-sum scan names the smallest witness
-    mismatch = None
-    if not expected.items() <= actual.items():
-        mismatch = next(
-            (n, expected[n], actual[n]) for n in sorted(expected) if actual[n] != expected[n]
-        )
-    if mismatch:
-        n, expected, got = mismatch
-        detail = f"rep count at n={n} is {got}, piecewise formula gives {expected}"
-        checks.append(_fail("piecewise_formula", None, n, detail))
-    else:
+    # is a key of the union's counts; otherwise the per-sum scan names the
+    # smallest witness
+    if expected.items() <= sums.items():
         checks.append(_ok("piecewise_formula", None, "piecewise counts match brute force"))
+    else:
+        n = next(n for n in sorted(expected) if sums[n] != expected[n])
+        detail = f"rep count at n={n} is {sums[n]}, piecewise formula gives {expected[n]}"
+        checks.append(_fail("piecewise_formula", None, n, detail))
+    # the union's counts differ from A's only on cross and self sums
+    return DecompositionReport(kind=kind, checks=tuple(checks)), max(map(sums.get, expected))
 
-    return DecompositionReport(kind=kind, checks=tuple(checks)), actual
 
-
-def _unique_part_check(name: str, part: Counter) -> CheckResult:
-    n = min((n for n, k in part.items() if k > 1), default=None)
-    if n is not None:
+def _unique_part_check(name: str, part: Counter, pairs: int) -> CheckResult:
+    # the part's sums are distinct exactly when it has one key per pair
+    if len(part) != pairs:
+        n = min(n for n, k in part.items() if k > 1)
         return _fail(name, None, n, f"sum {n} realized {part[n]} times within one part")
     return _ok(name, None, "all sums within the part are distinct")
 
@@ -379,6 +373,10 @@ def check_equality_coverage(trace: ConstructionTrace) -> EqualityReport:
     are checked against every stage.
     """
     validate_trace_structure(trace)
+    return _equality_coverage(trace)
+
+
+def _equality_coverage(trace: ConstructionTrace) -> EqualityReport:
     final = trace.stages[-1]
     covered = Counter(trace.u_prefix[: final.m_covered])
     entries: list[EqualityEntry] = []
@@ -440,9 +438,10 @@ def verify_trace(trace: ConstructionTrace) -> VerificationReport:
     equalities, and the pigeonhole bound at every (stage, checkpoint) pair.
 
     One walk over the stages tallies each pair once: stage 1 and a stage that
-    is not nested are counted pair by pair, any other stage takes the count its
-    decomposition derives from its predecessor's.  A stage's count serves its
-    invariants and, as the old sums, the next stage's decomposition.
+    is not nested are counted pair by pair; any other stage takes the count its
+    decomposition derives in place from its predecessor's.  Counts only grow
+    along a nested chain, so such a stage's largest count is its predecessor's
+    or one on its cross and self sums.
     """
     validate_trace_structure(trace)
     bounds = [(x, trace.f.max_finite(2 * x)) for _, x, _ in trace.checkpoints()]
@@ -450,16 +449,21 @@ def verify_trace(trace: ConstructionTrace) -> VerificationReport:
     invariants: list[CheckResult] = []
     decompositions = []
     upper_bounds: list[CheckResult] = []
-    # only the previous stage's count and the current one stay alive
-    prev = prev_counts = None
+    prev = counts = None
     for s in trace.stages:
-        union, union_counts = prev, prev_counts
+        if s.kind == KIND_EXTENSION and len(s.added) not in (0, 2):
+            # an extension adjoins one pair, or nothing when its target was covered
+            raise MalformedTraceError(
+                f"extension stage {s.index} must add 0 or 2 elements, got {len(s.added)}"
+            )
         if s.kind != KIND_BASE and len(s.added) > 0:
-            report, union_counts = _stage_decomposition(prev, prev_counts, s)
+            report, new_top = _decompose(prev, counts, s.added.elements, s.kind)
             decompositions.append((s.index, report))
-            union = prev.union(s.added)
-        counts = union_counts if union == s.set else sum_counter(s.set)
-        invariants += _stage_invariants(trace, s, prev, counts, floor)
+            top = max(top, new_top)
+        if prev is None or set(prev) | set(s.added) != set(s.set):
+            counts = sum_counter(s.set)
+            top = max(counts.values(), default=0)
+        invariants += _stage_invariants(trace, s, prev, counts, top, floor)
         for x, r in bounds:
             if r is None:
                 continue
@@ -469,10 +473,10 @@ def verify_trace(trace: ConstructionTrace) -> VerificationReport:
                 upper_bounds.append(_ok("upper_bound", s.index, detail))
             else:
                 upper_bounds.append(_fail("upper_bound", s.index, x, detail))
-        prev, prev_counts = s.set, counts
+        prev = s.set
     return VerificationReport(
         invariants=InvariantReport(tuple(invariants + _trace_invariants(trace))),
         decompositions=tuple(decompositions),
-        equality=check_equality_coverage(trace),
+        equality=_equality_coverage(trace),
         upper_bounds=tuple(upper_bounds),
     )

@@ -395,6 +395,15 @@ class TestTraceParsingRejections:
         trace_dict["stages"][0]["set"] = [4, -4, 24]
         _expect_malformed(trace_dict)
 
+    def test_order_is_refused_with_a_typed_error(self, trace_dict):
+        # the loader leaves the order scan to FiniteBasis and retypes its error
+        for key, bad in (("set", [4, -4, 24]), ("added", [-4, -4, 4, 24])):
+            data = json.loads(json.dumps(trace_dict))
+            data["stages"][0][key] = bad
+            with pytest.raises(MalformedTraceError) as refused:
+                trace_from_dict(data)
+            assert str(refused.value) == f"stage 1 {key} must be strictly increasing"
+
     def test_set_entries_must_be_integers(self, trace_dict):
         for bad in ([1, "2"], [1, True], [1, 2.5]):
             data = json.loads(json.dumps(trace_dict))
