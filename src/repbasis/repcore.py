@@ -78,7 +78,7 @@ class RepTarget:
         # 2w + 1 distinct keys, each an integer in [-w, w], cover the window
         # exactly; checked without building the window, which may be huge
         if len(self.values) != 2 * w + 1 or not all(
-            isinstance(n, int) and -w <= n <= w for n in self.values
+            isinstance(n, int) and not isinstance(n, bool) and -w <= n <= w for n in self.values
         ):
             raise ValueError("values must cover exactly the integers with |n| <= window_radius")
         for n, v in self.values.items():
@@ -302,6 +302,8 @@ class PhiSpec:
             if self.parameter is None or self.parameter <= 0:
                 raise ValueError("clog coefficient must be positive")
         if self.parameter is not None:
+            if isinstance(self.parameter, bool):
+                raise ValueError(f"bad phi parameter {self.parameter!r}")
             # phi is evaluated in floats, so the parameter must be one
             try:
                 as_float = float(self.parameter)

@@ -52,13 +52,7 @@ class CheckResult:
     detail: str
 
     def to_dict(self) -> dict:
-        return {
-            "condition": self.condition,
-            "stage": self.stage,
-            "passed": self.passed,
-            "witness": self.witness,
-            "detail": self.detail,
-        }
+        return dict(vars(self))
 
 
 @dataclass(frozen=True, eq=True)
@@ -111,7 +105,8 @@ def check_invariants(trace: ConstructionTrace) -> InvariantReport:
     prev: FiniteBasis | None = None
     for s in trace.stages:
         counts = sum_counter(s.set)
-        checks += _stage_invariants(trace, s, prev, counts, max(counts.values(), default=0), floor)
+        top = max(counts.values(), default=0)
+        checks += _stage_invariants(trace, s, _nesting_check(s, prev), counts, top, floor)
         prev = s.set
     return InvariantReport(tuple(checks + _trace_invariants(trace)))
 
@@ -124,14 +119,14 @@ def _smallest_value(f: RepTarget) -> int | float:
 def _stage_invariants(
     trace: ConstructionTrace,
     s: StageRecord,
-    prev: FiniteBasis | None,
+    nesting: CheckResult,
     counts: Counter,
     top: int,
     floor: int | float,
 ) -> list[CheckResult]:
     """Zero-freeness, nesting, pair bound, coverage and density of one stage;
-    `counts` is the stage's pair-sum Counter, `top` its largest count and
-    `floor` is _smallest_value(trace.f)."""
+    `nesting` is its _nesting_check, `counts` its pair-sum Counter, `top` its
+    largest count and `floor` is _smallest_value(trace.f)."""
     f = trace.f
     checks: list[CheckResult] = []
     if 0 in s.set:
@@ -139,7 +134,7 @@ def _stage_invariants(
     else:
         checks.append(_ok(COND_ZERO_FREE, s.index))
 
-    checks.append(_nesting_check(s, prev))
+    checks.append(nesting)
 
     # counts that all stay within the smallest prescribed value meet every
     # bound; any larger count sends the check through the per-sum scan
@@ -197,31 +192,24 @@ def _trace_invariants(trace: ConstructionTrace) -> list[CheckResult]:
 
 
 def _nesting_check(s: StageRecord, prev: FiniteBasis | None) -> CheckResult:
-    index, current, added = s.index, s.set, s.added
-    if index == 1:
-        if current.elements != added.elements:
-            witness = next(
-                iter(set(current.elements) ^ set(added.elements)),
-                None,
-            )
-            return _fail(COND_NESTING, index, witness, "base stage must list itself as added")
+    """Stage 1 (no prev) must list itself as added; a later stage must be prev
+    plus added elements prev lacks, so a pass implies prev | added == set."""
+    index, current, added = s.index, set(s.set), set(s.added)
+    if prev is None:
+        if current != added:
+            w = min(current ^ added)
+            return _fail(COND_NESTING, index, w, "base stage must list itself as added")
         return _ok(COND_NESTING, index, "base stage added equals its set")
-    assert prev is not None
-    prev_set = set(prev.elements)
-    overlap = prev_set & set(added.elements)
+    before = set(prev)
+    overlap = before & added
     if overlap:
         w = min(overlap)
         return _fail(COND_NESTING, index, w, f"added element {w} already present before stage {index}")
-    union = prev_set | set(added.elements)
-    current_set = set(current.elements)
-    if union != current_set:
-        w = min(union ^ current_set)
-        return _fail(
-            COND_NESTING,
-            index,
-            w,
-            f"stage {index} set is not the previous set plus its added elements (mismatch at {w})",
-        )
+    union = before | added
+    if union != current:
+        w = min(union ^ current)
+        detail = f"stage {index} set is not the previous set plus its added elements (mismatch at {w})"
+        return _fail(COND_NESTING, index, w, detail)
     return _ok(COND_NESTING, index, "stage extends the previous set by exactly its added elements")
 
 
@@ -233,7 +221,11 @@ def check_decomposition(A: FiniteBasis, added, kind: str) -> DecompositionReport
     elements) may legitimately appear among the old pair sums; its count
     rises by exactly one and it is exempt from the disjointness demand.
     """
-    added_tuple = tuple(sorted(added))
+    added_tuple = tuple(added)
+    bad = [t for t in added_tuple if isinstance(t, bool) or not isinstance(t, int)]
+    if bad:
+        raise PreconditionViolatedError(f"added elements must be integers, got {bad[0]!r}")
+    added_tuple = tuple(sorted(added_tuple))
     if not added_tuple:
         raise PreconditionViolatedError("decomposition needs a nonempty added list")
     if kind not in (KIND_EXTENSION, KIND_DENSIFICATION):
@@ -242,15 +234,7 @@ def check_decomposition(A: FiniteBasis, added, kind: str) -> DecompositionReport
         raise PreconditionViolatedError(
             f"an extension adjoins exactly two elements, got {len(added_tuple)}"
         )
-    return _decomposition(A, sum_counter(A), added_tuple, kind)[0]
-
-
-def _decomposition(
-    A: FiniteBasis, sums: Counter, added: tuple[int, ...], kind: str
-) -> tuple[DecompositionReport, Counter]:
-    """The decomposition report of A plus the sorted `added`, and the union's
-    pair-sum counts: `sums`, the counts of A, updated in place."""
-    return _decompose(A, sums, added, kind)[0], sums
+    return _decompose(A, sum_counter(A), added_tuple, kind)[0]
 
 
 def _decompose(
@@ -340,13 +324,7 @@ class EqualityEntry:
         return self.actual == self.required
 
     def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "stage": self.stage,
-            "required": self.required,
-            "actual": self.actual,
-            "ok": self.ok,
-        }
+        return {**vars(self), "ok": self.ok}
 
 
 @dataclass(frozen=True, eq=True)
@@ -373,10 +351,6 @@ def check_equality_coverage(trace: ConstructionTrace) -> EqualityReport:
     are checked against every stage.
     """
     validate_trace_structure(trace)
-    return _equality_coverage(trace)
-
-
-def _equality_coverage(trace: ConstructionTrace) -> EqualityReport:
     final = trace.stages[-1]
     covered = Counter(trace.u_prefix[: final.m_covered])
     entries: list[EqualityEntry] = []
@@ -437,14 +411,15 @@ def verify_trace(trace: ConstructionTrace) -> VerificationReport:
     """Full oracle bundle: invariants, per-stage decompositions, exhausted
     equalities, and the pigeonhole bound at every (stage, checkpoint) pair.
 
-    One walk over the stages tallies each pair once: stage 1 and a stage that
-    is not nested are counted pair by pair; any other stage takes the count its
-    decomposition derives in place from its predecessor's.  Counts only grow
-    along a nested chain, so such a stage's largest count is its predecessor's
-    or one on its cross and self sums.
+    One walk over the stages tallies each pair once: a stage whose nesting
+    check fails, and stage 1, are counted pair by pair; any other stage takes
+    the count its decomposition derives in place from its predecessor's.
+    Counts only grow along a nested chain, so such a stage's largest count is
+    its predecessor's or one on its cross and self sums.
     """
     validate_trace_structure(trace)
-    bounds = [(x, trace.f.max_finite(2 * x)) for _, x, _ in trace.checkpoints()]
+    bounds = [(x, r) for _, x, _ in trace.checkpoints()
+              if (r := trace.f.max_finite(2 * x)) is not None]
     floor = _smallest_value(trace.f)
     invariants: list[CheckResult] = []
     decompositions = []
@@ -456,17 +431,16 @@ def verify_trace(trace: ConstructionTrace) -> VerificationReport:
             raise MalformedTraceError(
                 f"extension stage {s.index} must add 0 or 2 elements, got {len(s.added)}"
             )
+        nesting = _nesting_check(s, prev)
         if s.kind != KIND_BASE and len(s.added) > 0:
             report, new_top = _decompose(prev, counts, s.added.elements, s.kind)
             decompositions.append((s.index, report))
             top = max(top, new_top)
-        if prev is None or set(prev) | set(s.added) != set(s.set):
+        if prev is None or not nesting.passed:
             counts = sum_counter(s.set)
             top = max(counts.values(), default=0)
-        invariants += _stage_invariants(trace, s, prev, counts, top, floor)
+        invariants += _stage_invariants(trace, s, nesting, counts, top, floor)
         for x, r in bounds:
-            if r is None:
-                continue
             k = counting(s.set, -x, x)
             detail = f"k={k}, k(k+1)/2={k * (k + 1) // 2}, bound r(4x+1)={r * (4 * x + 1)}"
             if upper_bound_check(s.set, x, r):
@@ -477,6 +451,6 @@ def verify_trace(trace: ConstructionTrace) -> VerificationReport:
     return VerificationReport(
         invariants=InvariantReport(tuple(invariants + _trace_invariants(trace))),
         decompositions=tuple(decompositions),
-        equality=_equality_coverage(trace),
+        equality=check_equality_coverage(trace),
         upper_bounds=tuple(upper_bounds),
     )

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from repbasis import PhiSpec, RepTarget, build, cli, density_demand, trace_dumps
+from test_verify import BASE_MISMATCH
 
 ONES = {"window": 0, "values": {"0": 1}, "default": 1}
 INF_ORIGIN = {"window": 0, "values": {"0": "inf"}, "default": 1}
@@ -221,6 +222,15 @@ class TestVerify:
         lines = result.stdout.strip().splitlines()
         assert lines[-1] == "FAIL"
         assert any(line.startswith("FAIL condition_4_zero_free") for line in lines)
+
+    def test_base_stage_names_the_smallest_mismatch(self, tmp_path):
+        path = tmp_path / "base.json"
+        path.write_text(json.dumps(BASE_MISMATCH))
+        result = run_cli("verify", "--trace", str(path))
+        assert result.returncode == 1
+        lines = result.stdout.splitlines()
+        assert lines[0] == "FAIL nesting stage=1 witness=1: base stage must list itself as added"
+        assert lines[-1] == "FAIL"
 
     def test_malformed_trace(self, tmp_path):
         path = tmp_path / "junk.json"

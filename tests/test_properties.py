@@ -43,7 +43,7 @@ from repbasis import (  # noqa: E402
     trace_to_dict,
     verify_trace,
 )
-from repbasis.verify import _decomposition  # noqa: E402
+from repbasis.verify import _decompose  # noqa: E402
 
 BASE = trace_to_dict(build(RepTarget.constant(1), PhiSpec.parse("pow:1/4"), 1))
 
@@ -154,7 +154,8 @@ def decompositions(draw):
 def test_derived_union_counts_equal_a_recount(case):
     A, added, kind = case
     union = sum_counter(A.union(added))
-    report, counts = _decomposition(A, sum_counter(A), tuple(sorted(added)), kind)
+    counts = sum_counter(A)
+    report, _ = _decompose(A, counts, tuple(sorted(added)), kind)
     assert counts == union
     assert check_decomposition(A, added, kind) == report
     checks = {c.condition: c for c in report.checks}

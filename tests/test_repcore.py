@@ -213,6 +213,9 @@ class TestRepTarget:
             RepTarget(0, {0: 1}, True)
         with pytest.raises(ValueError):
             RepTarget(True, {-1: 1, 0: 1, 1: 1}, 1)
+        # True hashes as 1 but is written as "True", which no trace reads back
+        with pytest.raises(ValueError, match="values must cover exactly"):
+            RepTarget(1, {-1: 1, 0: 1, True: 2}, 1)
 
     def test_window_checked_without_building_it(self):
         with pytest.raises(ValueError):
@@ -441,6 +444,9 @@ class TestPhiSpec:
             PhiSpec("pow")
         with pytest.raises(ValueError):
             PhiSpec("ln", Fraction(1))
+        # True passes the clog range check but is written as "clog:True"
+        with pytest.raises(ValueError, match="bad phi parameter True"):
+            PhiSpec("clog", True)
 
 
 class TestDensityBar:

@@ -38,6 +38,15 @@ LOG2 = PhiSpec.parse("log2")
 POW14 = PhiSpec.parse("pow:1/4")
 
 
+# a one-stage trace whose set {1, 8, 50} is not its added list [50]
+BASE_MISMATCH = {
+    "f": F_ONES.to_dict(),
+    "phi": "log2",
+    "u_prefix": [0],
+    "stages": [{"index": 1, "kind": KIND_BASE, "set": [1, 8, 50], "added": [50], "x": 50}],
+}
+
+
 @pytest.fixture(scope="module")
 def ones_trace():
     return build(F_ONES, LOG2, 1)
@@ -200,6 +209,12 @@ class TestDecomposition:
         with pytest.raises(ValueError):
             check_decomposition(FiniteBasis((1, 2)), (-9, 9), "BASE")
 
+    @pytest.mark.parametrize("added", [(1.5, 2.5), (True, 5), ("a", "b"), (5, None)])
+    @pytest.mark.parametrize("kind", [KIND_EXTENSION, KIND_DENSIFICATION])
+    def test_non_integer_added_rejected(self, added, kind):
+        with pytest.raises(PreconditionViolatedError, match="added elements must be integers"):
+            check_decomposition(FiniteBasis((1, 2)), added, kind)
+
 
 class TestUpperBound:
     def test_sparse_set_passes(self):
@@ -293,6 +308,12 @@ class TestVerifyTrace:
         assert "upper_bound stage=1 witness=2: k=4, k(k+1)/2=10, bound r(4x+1)=9" in (
             report.failures()
         )
+
+    def test_base_stage_names_the_smallest_mismatch(self):
+        trace = trace_from_dict(BASE_MISMATCH)
+        for invariants in (verify_trace(trace).invariants, check_invariants(trace)):
+            nesting = [c for c in invariants.failures() if c.condition == "nesting"]
+            assert [(c.stage, c.witness) for c in nesting] == [(1, 1)]
 
     def test_no_finite_bound_no_upper_bound_checks(self):
         report = verify_trace(build(RepTarget.constant(INFINITY), LOG2, 1))

@@ -70,7 +70,7 @@ def _stage_checks(trace, s, prev, counts):
     before = set(prev.elements) if prev is not None else set()
     if prev is None:
         if els != s.added.elements:
-            checks.append(_fail("nesting", index, next(iter(current ^ added)),
+            checks.append(_fail("nesting", index, min(current ^ added),
                                 "base stage must list itself as added"))
         else:
             checks.append(_ok("nesting", index, "base stage added equals its set"))

@@ -13,8 +13,12 @@ bench/run.py's own default run length, read from each checkout and
 recorded with the two commands.  The file holds, per
 workload and side, the median and quartiles of every end-to-end metric
 with the runs themselves, how many pairs the change won, the traced
-counts and times, and for each revision the line count of src/, with the
-Python version.  Standard library only.
+counts and times, and for each revision two line counts of src/, with the
+Python version.  src_lines counts every line; src_code_lines counts only the
+lines that hold a token other than a comment or a docstring, read with
+tokenize.  A change that deletes comments or docstrings shortens the first
+count without making the code simpler, and only the second shows that.
+Standard library only.
 """
 
 from __future__ import annotations
@@ -29,6 +33,7 @@ import subprocess
 import sys
 import tarfile
 import tempfile
+import tokenize
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -50,6 +55,28 @@ def export(rev: str, into: Path) -> tuple[str, Path]:
 
 def src_lines(checkout: Path) -> int:
     return sum(len(p.read_text().splitlines()) for p in (checkout / "src").rglob("*.py"))
+
+
+# tokens that hold no code; NEWLINE, which ends a statement, is kept to find docstrings
+_LAYOUT = {tokenize.COMMENT, tokenize.NL, tokenize.INDENT, tokenize.DEDENT,
+           tokenize.ENCODING, tokenize.ENDMARKER}
+
+
+def src_code_lines(checkout: Path) -> int:
+    """The lines of src/ that hold code: blank lines, comments and docstrings
+    (a statement that is one string) do not count."""
+    total = 0
+    for path in (checkout / "src").rglob("*.py"):
+        with path.open("rb") as handle:
+            tokens = [t for t in tokenize.tokenize(handle.readline) if t.type not in _LAYOUT]
+        lines = set()
+        for i, tok in enumerate(tokens):
+            docstring = (tok.type == tokenize.STRING and tokens[i + 1].type == tokenize.NEWLINE
+                         and (i == 0 or tokens[i - 1].type == tokenize.NEWLINE))
+            if tok.type != tokenize.NEWLINE and not docstring:
+                lines.update(range(tok.start[0], tok.end[0] + 1))
+        total += len(lines)
+    return total
 
 
 def run_seconds(checkout: Path) -> float:
@@ -129,15 +156,17 @@ def main(argv=None) -> int:
     plan = dict(item.split("=") for item in args.workload or [f"{w}=3" for w in WORKLOADS])
 
     with tempfile.TemporaryDirectory() as tmp:
-        revisions, sides, lines, seconds = {}, {}, {}, {}
+        revisions, sides, lines, code_lines, seconds = {}, {}, {}, {}, {}
         for side in ("parent", "change"):
             revisions[side], sides[side] = export(getattr(args, side), Path(tmp))
             lines[side] = src_lines(sides[side])
+            code_lines[side] = src_code_lines(sides[side])
             seconds[side] = run_seconds(sides[side])
         record = {
             "python": platform.python_version(),
             "revisions": revisions,
             "src_lines": lines,
+            "src_code_lines": code_lines,
             "run_seconds": seconds,
             "command": "python3 bench/run.py --workload W --seed S --trace 0",
             "traced_command": "python3 bench/run.py --workload W --seed 1 --trace 1",
