@@ -30,6 +30,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_build = sub.add_parser("build", help="construct a trace for a prescribed function")
+    p_build.set_defaults(run=_cmd_build)
     p_build.add_argument("--f", required=True, metavar="PATH", help="JSON file with the prescribed function")
     p_build.add_argument("--phi", required=True, help='growth spec: "log2", "ln", "pow:<eps>", "clog:<c>"')
     p_build.add_argument("--stages", required=True, type=int, metavar="L", help="number of extension/densification rounds")
@@ -37,14 +38,17 @@ def _build_parser() -> argparse.ArgumentParser:
     p_build.add_argument("--search-cap", type=int, metavar="N", help="abort scans whose x would exceed N")
 
     p_verify = sub.add_parser("verify", help="run every oracle against a trace file")
+    p_verify.set_defaults(run=_cmd_verify)
     p_verify.add_argument("--trace", required=True, metavar="PATH")
     p_verify.add_argument("--report", metavar="PATH", help="write the full JSON report here")
 
     p_sidon = sub.add_parser("sidon", help="construct a Sidon set in [1, n]")
+    p_sidon.set_defaults(run=_cmd_sidon)
     p_sidon.add_argument("--method", choices=("greedy", "erdos-turan", "auto"), default="auto")
     p_sidon.add_argument("--n", required=True, type=int)
 
     p_stats = sub.add_parser("stats", help="tabulate checkpoint densities as CSV")
+    p_stats.set_defaults(run=_cmd_stats)
     p_stats.add_argument("--trace", required=True, metavar="PATH")
     p_stats.add_argument("--out", metavar="PATH", help="write the CSV here (default: stdout)")
 
@@ -107,10 +111,6 @@ def _cmd_sidon(args) -> int:
     return 0
 
 
-def _format_value(value: float) -> str:
-    return format(value, ".6f")
-
-
 def _cmd_stats(args) -> int:
     with open(args.trace, encoding="utf-8") as handle:
         trace = trace_loads(handle.read())
@@ -118,28 +118,17 @@ def _cmd_stats(args) -> int:
     for _, x, stage_set in trace.checkpoints():
         count = counting(stage_set, -x, x)
         demand = density_demand(x, trace.phi)
-        ratio = count / demand
         r = trace.f.max_finite(2 * x)
         ceiling = math.inf if r is None else real_sqrt(2 * r * (4 * x + 1))
-        lines.append(
-            f"{x},{count},{_format_value(demand)},{_format_value(ratio)},{_format_value(ceiling)}"
-        )
+        lines.append(f"{x},{count},{demand:.6f},{count / demand:.6f},{ceiling:.6f}")
     _write_text(args.out, "\n".join(lines) + "\n")
     return 0
-
-
-_DISPATCH = {
-    "build": _cmd_build,
-    "verify": _cmd_verify,
-    "sidon": _cmd_sidon,
-    "stats": _cmd_stats,
-}
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return _DISPATCH[args.command](args)
+        return args.run(args)
     except RepbasisError as exc:
         print(f"{exc.code}: {exc}", file=sys.stderr)
         return 1

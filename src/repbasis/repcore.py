@@ -7,6 +7,7 @@ which guards its float evaluation with an explicit margin.
 from __future__ import annotations
 
 import math
+import operator
 from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass, field
@@ -151,10 +152,12 @@ class FiniteBasis:
 
     def __post_init__(self):
         els = self.elements
-        for e in els:
-            if isinstance(e, bool) or not isinstance(e, int):
-                raise ValueError(f"elements must be integers, got {e!r}")
-        if any(els[i] >= els[i + 1] for i in range(len(els) - 1)):
+        # C-level passes; the offending element is looked up only on failure
+        if not {int}.issuperset(map(type, els)):
+            for e in els:
+                if isinstance(e, bool) or not isinstance(e, int):
+                    raise ValueError(f"elements must be integers, got {e!r}")
+        if not all(map(operator.lt, els, els[1:])):
             raise ValueError("elements must be strictly increasing")
 
     @classmethod
@@ -371,6 +374,8 @@ def density_demand(x, phi: PhiSpec) -> float:
     it is math.inf only when the bar itself passes the float range: no
     count a finite set can hold comes near it, so no verdict turns on it.
     """
+    if x < 1:
+        raise ValueError(f"the density bar is defined for x >= 1, got x={x}")
     root = real_sqrt(x)
     if root < INFINITY:
         return root / phi.evaluate(x)

@@ -9,9 +9,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .errors import DensityUnreachableError, InputTooLargeError, InputTooSmallError
+from .repcore import FiniteBasis
 
 # Largest ambient bound the constructions accept: the greedy ladder's bitsets
 # grow with the largest element, and advance(10**8) takes 27 s and 105 MB.
@@ -19,24 +20,15 @@ SIDON_N_LIMIT = 10**8
 
 
 @dataclass(frozen=True, eq=True)
-class SidonSet:
-    """A Sidon set together with the ambient bound it was built for."""
+class SidonSet(FiniteBasis):
+    """A Sidon set in [1, ambient_n]; ambient_n defaults only as it follows a defaulted field."""
 
-    elements: tuple[int, ...]
-    ambient_n: int
+    ambient_n: int = 0
 
     def __post_init__(self):
-        els = self.elements
-        if any(els[i] >= els[i + 1] for i in range(len(els) - 1)):
-            raise ValueError("elements must be strictly increasing")
-        if els and (els[0] < 1 or els[-1] > self.ambient_n):
+        super().__post_init__()
+        if self.elements and not 1 <= self.elements[0] <= self.elements[-1] <= self.ambient_n:
             raise ValueError("elements must lie in [1, ambient_n]")
-
-    def __len__(self) -> int:
-        return len(self.elements)
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.elements)
 
     def density_ok(self) -> bool:
         """Exact check 4*|D|**2 > n."""

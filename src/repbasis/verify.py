@@ -60,6 +60,7 @@ class _CheckList:
     """A sequence of checks that passes when every check passes."""
 
     checks: tuple[CheckResult, ...]
+    _key = "checks"  # the key to_dict lists the checks under
 
     @property
     def passed(self) -> bool:
@@ -69,7 +70,7 @@ class _CheckList:
         return [c for c in self.checks if not c.passed]
 
     def to_dict(self) -> dict:
-        return {"passed": self.passed, "checks": [c.to_dict() for c in self.checks]}
+        return {"passed": self.passed, self._key: [c.to_dict() for c in self.checks]}
 
 
 class InvariantReport(_CheckList):
@@ -221,6 +222,7 @@ def check_decomposition(A: FiniteBasis, added, kind: str) -> DecompositionReport
     elements) may legitimately appear among the old pair sums; its count
     rises by exactly one and it is exempt from the disjointness demand.
     """
+    _require_basis(A)
     added_tuple = tuple(added)
     bad = [t for t in added_tuple if isinstance(t, bool) or not isinstance(t, int)]
     if bad:
@@ -279,6 +281,11 @@ def _decompose(
     return DecompositionReport(kind=kind, checks=tuple(checks)), max(map(sums.get, expected))
 
 
+def _require_basis(A) -> None:
+    if not isinstance(A, FiniteBasis):
+        raise PreconditionViolatedError(f"A must be a FiniteBasis, got {type(A).__name__}")
+
+
 def _unique_part_check(name: str, part: Counter, pairs: int) -> CheckResult:
     # the part's sums are distinct exactly when it has one key per pair
     if len(part) != pairs:
@@ -308,6 +315,7 @@ def upper_bound_check(A: FiniteBasis, x: int, r: int) -> bool:
     """Exact pigeonhole sanity bound: with k elements in [-x, x], the
     k(k+1)/2 pair sums land in [-2x, 2x], so k(k+1)/2 <= r(4x+1) whenever
     every rep count is at most r."""
+    _require_basis(A)
     k = counting(A, -x, x)
     return k * (k + 1) // 2 <= r * (4 * x + 1)
 
@@ -320,26 +328,23 @@ class EqualityEntry:
     actual: int
 
     @property
-    def ok(self) -> bool:
+    def passed(self) -> bool:
         return self.actual == self.required
 
+    ok = passed
+
     def to_dict(self) -> dict:
-        return {**vars(self), "ok": self.ok}
+        return {**vars(self), "ok": self.passed}
 
 
-@dataclass(frozen=True, eq=True)
-class EqualityReport:
-    entries: tuple[EqualityEntry, ...]
+class EqualityReport(_CheckList):
+    """Exhausted-target equalities; its checks are EqualityEntry records."""
+
+    _key = "entries"
 
     @property
-    def passed(self) -> bool:
-        return all(e.ok for e in self.entries)
-
-    def failures(self) -> list[EqualityEntry]:
-        return [e for e in self.entries if not e.ok]
-
-    def to_dict(self) -> dict:
-        return {"passed": self.passed, "entries": [e.to_dict() for e in self.entries]}
+    def entries(self) -> tuple[EqualityEntry, ...]:
+        return self.checks
 
 
 def check_equality_coverage(trace: ConstructionTrace) -> EqualityReport:
@@ -380,20 +385,13 @@ class VerificationReport:
         return not self.failures()
 
     def failures(self) -> list[str]:
-        out = []
-        for c in self.invariants.failures():
-            out.append(f"{c.condition} stage={c.stage} witness={c.witness}: {c.detail}")
-        for idx, rep in self.decompositions:
-            for c in rep.failures():
-                out.append(f"decomposition stage={idx} {c.condition} witness={c.witness}: {c.detail}")
-        for e in self.equality.failures():
-            out.append(
-                f"equality n={e.n} stage={e.stage}: rep count {e.actual}, prescribed {e.required}"
-            )
-        for c in self.upper_bounds:
-            if not c.passed:
-                out.append(f"{c.condition} stage={c.stage} witness={c.witness}: {c.detail}")
-        return out
+        line = "{0.condition} stage={0.stage} witness={0.witness}: {0.detail}".format
+        out = [line(c) for c in self.invariants.failures()]
+        out += [f"decomposition stage={idx} {c.condition} witness={c.witness}: {c.detail}"
+                for idx, rep in self.decompositions for c in rep.failures()]
+        out += [f"equality n={e.n} stage={e.stage}: rep count {e.actual}, prescribed {e.required}"
+                for e in self.equality.failures()]
+        return out + [line(c) for c in self.upper_bounds if not c.passed]
 
     def to_dict(self) -> dict:
         return {

@@ -172,6 +172,11 @@ class TestFiniteBasis:
             FiniteBasis(("3",))
         with pytest.raises(ValueError):
             FiniteBasis((True,))
+        # the first offending element is named
+        with pytest.raises(ValueError, match="^elements must be integers, got True$"):
+            FiniteBasis((1, True, 2.5))
+        with pytest.raises(ValueError, match="^elements must be strictly increasing$"):
+            FiniteBasis((1, 3, 3))
 
 
 class TestRepTarget:
@@ -482,6 +487,15 @@ class TestDensityBar:
         assert not density_exceeds(10**400, 10**4000, log2)
         assert density_exceeds(10**41, 10**4000, pow49)
         assert not density_exceeds(10**39, 10**4000, pow49)
+
+    @pytest.mark.parametrize("x", [0, -4, 0.5])
+    @pytest.mark.parametrize("spec", ["pow:1/4", "log2", "ln", "clog:1/100"])
+    def test_bar_needs_x_at_least_one(self, x, spec):
+        phi = PhiSpec.parse(spec)
+        with pytest.raises(ValueError, match=f"x={x}"):
+            density_demand(x, phi)
+        with pytest.raises(ValueError, match=f"x={x}"):
+            density_exceeds(1, x, phi)
 
     def test_out_of_reach_is_the_margin_test_with_one_of_slack(self):
         phi = PhiSpec.parse("pow:1/4")  # the bar at x = 16 is exactly 2

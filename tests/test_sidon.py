@@ -5,6 +5,7 @@ import pytest
 import repbasis.sidon as sidon_mod
 from repbasis import (
     DensityUnreachableError,
+    FiniteBasis,
     InputTooLargeError,
     InputTooSmallError,
     SidonLadder,
@@ -240,11 +241,17 @@ class TestSidonSet:
             SidonSet((0, 1), 5)
         with pytest.raises(ValueError):
             SidonSet((1, 6), 5)
+        for bad in ((True, 2), (1.5, 2)):
+            with pytest.raises(ValueError, match="elements must be integers"):
+                SidonSet(bad, 5)
 
     def test_container_protocol(self):
         D = SidonSet((1, 2, 4), 5)
         assert len(D) == 3
         assert list(D) == [1, 2, 4]
+        assert 4 in D and 3 not in D
+        assert D.max_abs() == 4
+        assert isinstance(D, FiniteBasis)
 
 
 class TestSidonForDensity:

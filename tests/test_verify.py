@@ -23,6 +23,7 @@ from repbasis import (
     check_equality_coverage,
     check_invariants,
     counting,
+    greedy_sidon,
     sum_counter,
     trace_from_dict,
     trace_to_dict,
@@ -215,10 +216,22 @@ class TestDecomposition:
         with pytest.raises(PreconditionViolatedError, match="added elements must be integers"):
             check_decomposition(FiniteBasis((1, 2)), added, kind)
 
+    @pytest.mark.parametrize("A", [(1, 2), [1, 2]])
+    def test_basis_must_be_a_finite_basis(self, A):
+        with pytest.raises(PreconditionViolatedError, match=f"A must be a FiniteBasis, got {type(A).__name__}"):
+            check_decomposition(A, (5, 6), KIND_DENSIFICATION)
+
 
 class TestUpperBound:
+    @pytest.mark.parametrize("A", [(1, 2), [1, 2]])
+    def test_basis_must_be_a_finite_basis(self, A):
+        with pytest.raises(PreconditionViolatedError, match=f"A must be a FiniteBasis, got {type(A).__name__}"):
+            upper_bound_check(A, 3, 1)
+
     def test_sparse_set_passes(self):
         assert upper_bound_check(FiniteBasis((1, 2, 4, 8)), 8, 1)
+        # a SidonSet is a FiniteBasis: 8 greedy elements in [1, 50], 36 sums, 201 slots
+        assert upper_bound_check(greedy_sidon(100), 50, 1)
 
     def test_empty_set_is_vacuous(self):
         assert upper_bound_check(FiniteBasis(), 5, 1)

@@ -2,6 +2,7 @@
 
     python3 tools/bench_record.py --parent REV --change REV --out BENCH_7.json \
         --workload matrix=10 --workload abort_scan=3 --first-seed 11
+    python3 tools/bench_record.py --compare BENCH_11.json BENCH_12.json
 
 Each revision is exported with `git archive` into a fresh directory, and
 its own unmodified bench/run.py is run there, one process at a time.  A
@@ -18,6 +19,10 @@ Python version.  src_lines counts every line; src_code_lines counts only the
 lines that hold a token other than a comment or a docstring, read with
 tokenize.  A change that deletes comments or docstrings shortens the first
 count without making the code simpler, and only the second shows that.
+--compare reads two such records and prints, for every workload both hold
+and every end-to-end metric, the two `change` medians and their ratio
+(second over first), then each record's `change` revision and line counts,
+`n/a` where a record predates a field.  It runs no benchmark and no git.
 Standard library only.
 """
 
@@ -144,15 +149,38 @@ def record_workload(sides: dict[str, Path], workload: str, pairs: int, first_see
     return entry
 
 
+def compare(paths: list[str]) -> str:
+    """The text --compare prints for the two records at `paths`."""
+    records = [json.loads(Path(p).read_text()) for p in paths]
+    a, b = (r["workloads"] for r in records)
+    lines = ["workload metric first second ratio"]
+    for w in (w for w in a if w in b):
+        for name in END_TO_END:
+            first, second = a[w]["change"][name]["median"], b[w]["change"][name]["median"]
+            lines.append(f"{w} {name} {first:.6g} {second:.6g} {second / first:.4f}")
+    for path, record in zip(paths, records):
+        fields = [record.get(k, {}).get("change", "n/a")
+                  for k in ("revisions", "src_lines", "src_code_lines")]
+        lines.append(f"{path}: change {fields[0]} src_lines {fields[1]} src_code_lines {fields[2]}")
+    return "\n".join(lines) + "\n"
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--parent", required=True, metavar="REV")
-    parser.add_argument("--change", required=True, metavar="REV")
-    parser.add_argument("--out", required=True, metavar="PATH")
+    parser.add_argument("--compare", nargs=2, metavar="RECORD",
+                        help="print two committed records side by side and exit")
+    parser.add_argument("--parent", metavar="REV")
+    parser.add_argument("--change", metavar="REV")
+    parser.add_argument("--out", metavar="PATH")
     parser.add_argument("--workload", action="append", metavar="NAME=PAIRS",
                         help="workload and number of pairs (default: all four, 3 pairs)")
     parser.add_argument("--first-seed", type=int, default=11)
     args = parser.parse_args(argv)
+    if args.compare:
+        sys.stdout.write(compare(args.compare))
+        return 0
+    if not (args.parent and args.change and args.out):
+        parser.error("--parent, --change and --out are required without --compare")
     plan = dict(item.split("=") for item in args.workload or [f"{w}=3" for w in WORKLOADS])
 
     with tempfile.TemporaryDirectory() as tmp:
