@@ -10,7 +10,7 @@ import math
 import os
 import sys
 
-from .construct import build, trace_dumps, trace_loads
+from .construct import build, canonical_json, trace_dumps, trace_loads
 from .errors import RepbasisError
 from .repcore import PhiSpec, RepTarget, _unique_keys, counting, density_demand, real_sqrt
 from .sidon import erdos_turan_sidon, greedy_sidon, sidon_for_density
@@ -85,7 +85,7 @@ def _cmd_verify(args) -> int:
         trace = trace_loads(handle.read())
     report = verify_trace(trace)
     if args.report:
-        _write_text(args.report, json.dumps(report.to_dict(), sort_keys=True, indent=2) + "\n")
+        _write_text(args.report, canonical_json(report.to_dict()))
     lines = [f"FAIL {line}" for line in report.failures()]
     lines.append("PASS" if report.passed else "FAIL")
     _write_text(None, "\n".join(lines) + "\n")
@@ -107,7 +107,7 @@ def _cmd_sidon(args) -> int:
         "threshold": round(math.sqrt(args.n) / 2, 6),
         "density_ok": result.density_ok(),
     }
-    _write_text(None, json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    _write_text(None, canonical_json(payload))
     return 0
 
 

@@ -10,11 +10,14 @@ directly; the public `extend_target` and `densify` check their inputs first.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import os
+import sys
 from collections import Counter
 from dataclasses import dataclass
+from json.encoder import c_make_encoder, encode_basestring_ascii
 
 from .errors import MalformedTraceError, PhiTooSlowError, PreconditionViolatedError
 from .repcore import (
@@ -360,10 +363,60 @@ def trace_to_dict(trace: ConstructionTrace) -> dict:
     }
 
 
+# Before Python 3.13, json.dumps with an indent runs the pure-Python encoder,
+# so there canonical_json hands each container of scalars to the C encoder
+# itself; an interpreter without the C encoder has only json.dumps.
+_INDENT_IN_C = sys.version_info >= (3, 13) or c_make_encoder is None
+_SCALAR_TYPES = frozenset((str, int, float, bool, type(None)))
+
+
+@functools.cache
+def _flat_encoder(newline_indent: str):
+    """The C encoder with sorted keys, writing each item of one container
+    on its own line after newline_indent."""
+    return c_make_encoder(None, json.JSONEncoder().default, encode_basestring_ascii,
+                          None, ": ", "," + newline_indent, True, False, True)
+
+
+def _canonical_parts(obj, newline_indent: str, parts: list) -> None:
+    """Append obj's canonical text to parts; newline_indent starts the line
+    of obj's closing bracket."""
+    is_dict = isinstance(obj, dict)
+    if not obj or not (is_dict or isinstance(obj, (list, tuple))):
+        parts += _flat_encoder(newline_indent)(obj, 0)  # a scalar or an empty container
+        return
+    inner = newline_indent + "  "
+    if _SCALAR_TYPES.issuperset(map(type, obj.values() if is_dict else obj)):
+        text = "".join(_flat_encoder(inner)(obj, 0))
+        parts += (text[0], inner, text[1:-1], newline_indent, text[-1])
+        return
+    parts.append("{" if is_dict else "[")
+    for i, item in enumerate(sorted(obj.items()) if is_dict else obj):
+        parts.append("," + inner if i else inner)
+        if is_dict:
+            parts += (encode_basestring_ascii(item[0]), ": ")
+            item = item[1]
+        _canonical_parts(item, inner, parts)
+    parts += (newline_indent, "}" if is_dict else "]")
+
+
+def canonical_json(obj) -> str:
+    """The canonical text of a JSON document whose keys are all strings:
+    byte for byte json.dumps(obj, sort_keys=True, indent=2) plus one newline.
+    A raw newline never occurs inside an encoded string, so writing each
+    container of scalars with the C encoder changes no byte."""
+    if _INDENT_IN_C:
+        return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    parts: list[str] = []
+    _canonical_parts(obj, "\n", parts)
+    parts.append("\n")
+    return "".join(parts)
+
+
 def trace_dumps(trace: ConstructionTrace) -> str:
     """Canonical text form: sorted keys, two-space indent, one trailing
     newline.  Identical traces serialize to identical bytes."""
-    return json.dumps(trace_to_dict(trace), sort_keys=True, indent=2) + "\n"
+    return canonical_json(trace_to_dict(trace))
 
 
 def _require_int(value, what: str) -> int:
@@ -375,7 +428,10 @@ def _require_int(value, what: str) -> int:
 def _int_list(raw, what: str) -> list[int]:
     if not isinstance(raw, list):
         raise MalformedTraceError(f"{what} must be a list")
-    return [_require_int(v, f"{what} entry") for v in raw]
+    if not {int}.issuperset(map(type, raw)):  # one C-level pass; walk only to name the offender
+        for v in raw:
+            _require_int(v, f"{what} entry")
+    return raw
 
 
 def _strict_basis(raw, what: str) -> FiniteBasis:

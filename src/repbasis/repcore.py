@@ -15,7 +15,7 @@ from fractions import Fraction
 from itertools import chain
 from typing import Iterable, Iterator, Mapping
 
-from .errors import EmptySetError, InputTooLargeError
+from .errors import EmptySetError, InputTooLargeError, PreconditionViolatedError
 
 # Sentinel for "no finite bound at this n".  A plain float keeps min(),
 # comparisons and JSON handling unsurprising.
@@ -183,8 +183,14 @@ class FiniteBasis:
         return FiniteBasis.from_iterable((*self.elements, *extra))
 
 
+def _require_basis(A) -> None:
+    if not isinstance(A, FiniteBasis):
+        raise PreconditionViolatedError(f"A must be a FiniteBasis, got {type(A).__name__}")
+
+
 def rep_function(A: FiniteBasis, n: int) -> int:
     """Number of unordered pairs a <= b in A with a + b = n."""
+    _require_basis(A)
     count = 0
     for a in A.elements:
         if 2 * a > n:
@@ -199,6 +205,7 @@ def sum_counter(A: FiniteBasis) -> Counter:
 
     Every pair is enumerated, in the order of the double loop over
     i <= j, but Counter tallies them in one C-level pass."""
+    _require_basis(A)
     els = A.elements
     return Counter(chain.from_iterable(map(a.__add__, els[i:]) for i, a in enumerate(els)))
 
@@ -210,6 +217,7 @@ def rep_profile(A: FiniteBasis) -> dict[int, int]:
     4*max|a| + 1 entries, so this is meant for small sets; past
     PROFILE_WINDOW_LIMIT entries it raises InputTooLargeError.
     """
+    _require_basis(A)
     if not A.elements:
         raise EmptySetError("rep_profile needs a non-empty set")
     reach = 2 * A.max_abs()
@@ -224,6 +232,7 @@ def rep_profile(A: FiniteBasis) -> dict[int, int]:
 
 def counting(A: FiniteBasis, y, x) -> int:
     """Number of elements of A in the closed interval [y, x]."""
+    _require_basis(A)
     if y > x:
         return 0
     els = A.elements

@@ -24,6 +24,7 @@ from .errors import MalformedTraceError, PreconditionViolatedError
 from .repcore import (
     FiniteBasis,
     RepTarget,
+    _require_basis,
     counting,
     density_demand,
     density_exceeds,
@@ -281,11 +282,6 @@ def _decompose(
     return DecompositionReport(kind=kind, checks=tuple(checks)), max(map(sums.get, expected))
 
 
-def _require_basis(A) -> None:
-    if not isinstance(A, FiniteBasis):
-        raise PreconditionViolatedError(f"A must be a FiniteBasis, got {type(A).__name__}")
-
-
 def _unique_part_check(name: str, part: Counter, pairs: int) -> CheckResult:
     # the part's sums are distinct exactly when it has one key per pair
     if len(part) != pairs:
@@ -315,7 +311,6 @@ def upper_bound_check(A: FiniteBasis, x: int, r: int) -> bool:
     """Exact pigeonhole sanity bound: with k elements in [-x, x], the
     k(k+1)/2 pair sums land in [-2x, 2x], so k(k+1)/2 <= r(4x+1) whenever
     every rep count is at most r."""
-    _require_basis(A)
     k = counting(A, -x, x)
     return k * (k + 1) // 2 <= r * (4 * x + 1)
 

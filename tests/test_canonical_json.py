@@ -1,0 +1,114 @@
+"""canonical_json against its reference, json.dumps(obj, sort_keys=True,
+indent=2) plus one newline: on generated documents with string keys, and
+on the traces and verification reports of the whole-report corpus.  Both
+of its paths are tested on every Python version: the json.dumps call and
+the per-level writer that hands each container of scalars to the C
+encoder.  Examples are derandomized, so every run tests the same inputs."""
+
+import copy
+import json
+import math
+import random
+
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import example, given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+from test_whole_report import CORPUS, EDITS  # noqa: E402
+
+from repbasis import MalformedTraceError, trace_dumps, trace_from_dict, trace_to_dict, verify_trace  # noqa: E402
+from repbasis import construct  # noqa: E402
+from repbasis.construct import canonical_json  # noqa: E402
+
+# the per-level writer needs CPython's C encoder
+PATHS = [True] + ([False] if construct.c_make_encoder is not None else [])
+
+
+class Int(int):
+    pass
+
+
+class Str(str):
+    pass
+
+
+def reference(obj) -> str:
+    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+
+
+def both_paths(obj) -> list[str]:
+    """canonical_json(obj) through each path this interpreter can run."""
+    texts = []
+    for in_c in PATHS:
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(construct, "_INDENT_IN_C", in_c)
+            texts.append(canonical_json(obj))
+    return texts
+
+
+# ints of one to about 4000 digits, below the default limit of int-to-str conversion
+HUGE_INTS = st.builds(lambda digits, sign: sign * (10**digits - 7),
+                      st.integers(1, 4000), st.sampled_from((1, -1)))
+ODD_STRINGS = st.sampled_from(("", "\x00", "\n", "\t\r\x1f\x7f", "é", "日本", " ", "😀", '"\\/'))
+SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers().map(Int),
+    HUGE_INTS,
+    st.floats(),
+    st.sampled_from((math.inf, -math.inf, math.nan, -0.0)),
+    st.text(max_size=8),
+    ODD_STRINGS,
+    st.text(max_size=4).map(Str),
+)
+KEYS = st.one_of(st.text(max_size=6), ODD_STRINGS, st.text(max_size=3).map(Str))
+DOCUMENTS = st.recursive(
+    SCALARS,
+    lambda children: st.one_of(
+        st.lists(children, max_size=5),
+        st.lists(children, max_size=3).map(tuple),
+        st.dictionaries(KEYS, children, max_size=5),
+    ),
+    max_leaves=40,
+)
+
+
+@settings(derandomize=True, database=None, max_examples=400, deadline=None)
+@given(DOCUMENTS)
+@example({})
+@example([])
+@example({"a": {}, "b": [], "c": [[], {}], "d": [{}]})
+@example([1, True, False, 2, None])
+@example({"set": [1, True, 0, False], "n": Int(7), "big": [10**3000, -(10**4000)]})
+@example([math.inf, -math.inf, math.nan, -0.0, 0.0, 1e300, 5e-324])
+@example({"é\x00": "\n\t\x1f日本😀", " ": ["\x7f", '"', "\\"]})
+@example({"stages": [{"index": 1, "set": [-4, 8], "x": 3}, {"index": 2, "set": []}]})
+def test_equals_the_reference(doc):
+    assert both_paths(doc) == [reference(doc)] * len(PATHS)
+
+
+def test_booleans_print_as_json_literals():
+    text = canonical_json([1, True, 0, False])
+    assert text == "[\n  1,\n  true,\n  0,\n  false\n]\n"
+
+
+def test_corpus_traces_and_reports():
+    # each trace of the corpus and each edit of it that still loads
+    traces = []
+    for data in CORPUS:
+        traces.append(trace_from_dict(data))
+        for edit in sorted(EDITS):
+            edited = copy.deepcopy(data)
+            EDITS[edit](edited, random.Random(1))
+            try:
+                traces.append(trace_from_dict(edited))
+            except MalformedTraceError:
+                pass
+    assert any(not verify_trace(trace).passed for trace in traces)
+    for trace in traces:
+        report = verify_trace(trace).to_dict()
+        assert both_paths(report) == [reference(report)] * len(PATHS)
+        assert trace_dumps(trace) == reference(trace_to_dict(trace))

@@ -405,10 +405,16 @@ class TestTraceParsingRejections:
             assert str(refused.value) == f"stage 1 {key} must be strictly increasing"
 
     def test_set_entries_must_be_integers(self, trace_dict):
-        for bad in ([1, "2"], [1, True], [1, 2.5]):
-            data = json.loads(json.dumps(trace_dict))
-            data["stages"][0]["set"] = bad
-            _expect_malformed(data)
+        # the first offender is named, whatever follows it
+        for bad, named in (([1, "2"], "'2'"), ([1, True], "True"), ([1, 2.5], "2.5"),
+                           ([1, True, 2.5, "2"], "True"), ([2.5, 1, "2"], "2.5")):
+            for key, what in (("set", "stage 1 set"), ("added", "stage 1 added"),
+                              ("u_prefix", "u_prefix")):
+                data = json.loads(json.dumps(trace_dict))
+                (data if key == "u_prefix" else data["stages"][0])[key] = bad
+                with pytest.raises(MalformedTraceError) as refused:
+                    trace_from_dict(data)
+                assert str(refused.value) == f"{what} entry must be an integer, got {named}"
 
 
 def _per_n_search(phi, scale, extra_count, min_x, cap, context):

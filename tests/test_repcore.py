@@ -14,12 +14,14 @@ from repbasis import (
     FiniteBasis,
     InputTooLargeError,
     PhiSpec,
+    PreconditionViolatedError,
     RepTarget,
     TargetSequence,
     counting,
     d0_of,
     density_demand,
     density_exceeds,
+    greedy_sidon,
     rep_function,
     rep_profile,
     sum_counter,
@@ -138,6 +140,24 @@ class TestCounting:
     def test_real_endpoints(self):
         assert counting(basis(1, 2, 4, 8), 0.5, 8.5) == 4
         assert counting(basis(1, 2, 4, 8), 1.5, 7.9) == 2
+
+
+# each public set function, called on its set A
+SET_FUNCTIONS = {
+    "rep_function": lambda A: rep_function(A, 3),
+    "sum_counter": sum_counter,
+    "counting": lambda A: counting(A, 0, 5),
+    "rep_profile": rep_profile,
+}
+
+
+@pytest.mark.parametrize("call", SET_FUNCTIONS.values(), ids=SET_FUNCTIONS)
+@pytest.mark.parametrize("A", [(1, 2), [1, 2]])
+def test_basis_must_be_a_finite_basis(A, call):
+    with pytest.raises(PreconditionViolatedError) as refused:
+        call(A)
+    assert str(refused.value) == f"A must be a FiniteBasis, got {type(A).__name__}"
+    call(greedy_sidon(5))  # a SidonSet is a FiniteBasis
 
 
 class TestFiniteBasis:
