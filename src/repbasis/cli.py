@@ -5,14 +5,13 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import math
 import os
 import sys
 
 from .construct import build, canonical_json, trace_dumps, trace_loads
 from .errors import RepbasisError
-from .repcore import PhiSpec, RepTarget, _unique_keys, counting, density_demand, real_sqrt
+from .repcore import PhiSpec, RepTarget, _json_loads, counting, density_demand, real_sqrt
 from .sidon import erdos_turan_sidon, greedy_sidon, sidon_for_density
 from .verify import verify_trace
 
@@ -73,7 +72,7 @@ def _write_text(path: str | None, text: str) -> None:
 
 def _cmd_build(args) -> int:
     with open(args.f, encoding="utf-8") as handle:
-        f = RepTarget.from_dict(json.load(handle, object_pairs_hook=_unique_keys))
+        f = RepTarget.from_dict(_json_loads(handle.read()))
     phi = PhiSpec.parse(args.phi)
     trace = build(f, phi, args.stages, search_cap=args.search_cap)
     _write_text(args.out, trace_dumps(trace))

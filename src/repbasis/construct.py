@@ -25,7 +25,8 @@ from .repcore import (
     PhiSpec,
     RepTarget,
     TargetSequence,
-    _unique_keys,
+    _check_keys,
+    _json_loads,
     counting,
     d0_of,
     density_exceeds,
@@ -435,64 +436,40 @@ def _int_list(raw, what: str) -> list[int]:
 
 
 def _strict_basis(raw, what: str) -> FiniteBasis:
-    values = tuple(_int_list(raw, what))
-    try:  # the entries are integers, so FiniteBasis can refuse only their order
-        return FiniteBasis(values)
-    except ValueError:
-        raise MalformedTraceError(f"{what} must be strictly increasing") from None
+    if isinstance(raw, list):
+        try:  # FiniteBasis makes the one type pass and the order pass
+            return FiniteBasis(tuple(raw))
+        except ValueError:
+            pass
+    _int_list(raw, what)  # names a non-list or the first non-integer entry
+    raise MalformedTraceError(f"{what} must be strictly increasing")
 
 
 def trace_from_dict(data) -> ConstructionTrace:
     """Parse and structurally validate the canonical trace mapping."""
-    if not isinstance(data, dict):
-        raise MalformedTraceError("trace must be a JSON object")
-    required = {"f", "phi", "u_prefix", "stages"}
-    if set(data) != required:
-        missing = required - set(data)
-        extra = set(data) - required
-        parts = []
-        if missing:
-            parts.append(f"missing {sorted(missing)}")
-        if extra:
-            parts.append(f"unexpected {sorted(extra)}")
-        raise MalformedTraceError("trace keys: " + "; ".join(parts))
+    _check_keys(data, {"f", "phi", "u_prefix", "stages"}, what="trace", error=MalformedTraceError)
     try:
         f = RepTarget.from_dict(data["f"])
     except ValueError as exc:
         raise MalformedTraceError(f"bad target function: {exc}") from None
-    if not isinstance(data["phi"], str):
-        raise MalformedTraceError("phi must be a string")
     try:
         phi = PhiSpec.parse(data["phi"])
     except ValueError as exc:
         raise MalformedTraceError(f"bad phi: {exc}") from None
     u_prefix = tuple(_int_list(data["u_prefix"], "u_prefix"))
-    raw_stages = data["stages"]
-    if not isinstance(raw_stages, list) or not raw_stages:
-        raise MalformedTraceError("stages must be a non-empty list")
+    if not isinstance(data["stages"], list):
+        raise MalformedTraceError("stages must be a list")
     stages = []
-    for pos, raw in enumerate(raw_stages, start=1):
-        if not isinstance(raw, dict):
-            raise MalformedTraceError(f"stage {pos} must be an object")
-        allowed = {"index", "kind", "set", "added", "x"}
-        if not set(raw) <= allowed:
-            raise MalformedTraceError(
-                f"stage {pos} has unexpected keys {sorted(set(raw) - allowed)}"
-            )
-        for key in ("index", "kind", "set", "added"):
-            if key not in raw:
-                raise MalformedTraceError(f"stage {pos} is missing {key!r}")
-        index = _require_int(raw["index"], f"stage {pos} index")
-        if not isinstance(raw["kind"], str):
-            raise MalformedTraceError(f"stage {pos} kind must be a string")
-        x = _require_int(raw["x"], f"stage {pos} x") if "x" in raw else None
+    for pos, raw in enumerate(data["stages"], start=1):
+        _check_keys(raw, {"index", "kind", "set", "added"}, ("x",), what=f"stage {pos}",
+                    error=MalformedTraceError)
         stages.append(
             StageRecord(
-                index=index,
+                index=_require_int(raw["index"], f"stage {pos} index"),
                 kind=raw["kind"],
                 set=_strict_basis(raw["set"], f"stage {pos} set"),
                 added=_strict_basis(raw["added"], f"stage {pos} added"),
-                x=x,
+                x=_require_int(raw["x"], f"stage {pos} x") if "x" in raw else None,
             )
         )
     trace = ConstructionTrace(f=f, phi=phi, u_prefix=u_prefix, stages=tuple(stages))
@@ -501,8 +478,8 @@ def trace_from_dict(data) -> ConstructionTrace:
 
 
 def trace_loads(text: str) -> ConstructionTrace:
-    try:
-        data = json.loads(text, object_pairs_hook=_unique_keys)
-    except ValueError as exc:  # bad syntax, a duplicate key or an over-long integer
+    try:  # bad syntax, a duplicate key, an over-long integer or too deep nesting
+        data = _json_loads(text)
+    except ValueError as exc:
         raise MalformedTraceError(f"trace is not valid JSON: {exc}") from None
     return trace_from_dict(data)

@@ -6,11 +6,12 @@ which guards its float evaluation with an explicit margin.
 
 from __future__ import annotations
 
+import json
 import math
 import operator
 from bisect import bisect_left, bisect_right
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 from typing import Iterable, Iterator, Mapping
@@ -54,6 +55,28 @@ def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
             raise ValueError(f"duplicate key {key!r} in a JSON object")
         out[key] = value
     return out
+
+
+def _json_loads(text: str):
+    """json.loads that refuses a key given twice in one object, and nesting
+    too deep for the parser with a ValueError, not a RecursionError."""
+    try:
+        return json.loads(text, object_pairs_hook=_unique_keys)
+    except RecursionError as exc:
+        raise ValueError(str(exc)) from None
+
+
+def _check_keys(data, required, optional=(), *, what: str, error=ValueError) -> None:
+    """Refuse anything but a JSON object holding every key of `required` and
+    no key outside `required` and `optional`, with one message shape:
+    "<what> keys: missing [...]; unexpected [...]"."""
+    if not isinstance(data, dict):
+        raise error(f"{what} must be a JSON object")
+    missing = sorted(required - data.keys())
+    unexpected = sorted(data.keys() - required - set(optional))
+    if missing or unexpected:
+        found = (("missing", missing), ("unexpected", unexpected))
+        raise error(f"{what} keys: " + "; ".join(f"{word} {keys}" for word, keys in found if keys))
 
 
 @dataclass(frozen=True, eq=True)
@@ -118,14 +141,8 @@ class RepTarget:
 
     @classmethod
     def from_dict(cls, data: dict) -> "RepTarget":
-        if not isinstance(data, dict):
-            raise ValueError("target must be a JSON object")
-        try:
-            window = data["window"]
-            raw_values = data["values"]
-            default = data["default"]
-        except KeyError as exc:
-            raise ValueError(f"target is missing key {exc.args[0]!r}") from None
+        _check_keys(data, {"window", "values", "default"}, what="target")
+        raw_values = data["values"]
         if not isinstance(raw_values, dict):
             raise ValueError("target values must be an object")
         values = {}
@@ -137,7 +154,7 @@ class RepTarget:
             if n in values:
                 raise ValueError(f"target value keys name n={n} more than once (at {key!r})")
             values[n] = _decode_count(raw, what=f"value at n={n}")
-        return cls(window, values, _decode_count(default, what="default"))
+        return cls(data["window"], values, _decode_count(data["default"], what="default"))
 
 
 @dataclass(frozen=True, eq=True)

@@ -125,8 +125,10 @@ class TestBuild:
         [
             '{"window": 0, "values": {"0": 1, "00": 0}, "default": 1}',
             '{"window": 0, "values": {"0": 1}, "default": 1, "default": 2}',
+            '{"window": 0, "values": {"0": 1}, "default": 1, "defualt": 2}',
+            "[" * 10**5 + "]" * 10**5,
         ],
-        ids=["aliased_keys", "duplicate_key"],
+        ids=["aliased_keys", "duplicate_key", "unknown_key", "deep_nesting"],
     )
     def test_ambiguous_target_file(self, tmp_path, text):
         path = tmp_path / "f.json"
@@ -134,6 +136,7 @@ class TestBuild:
         result = run_cli("build", "--f", str(path), "--phi", "log2", "--stages", "1")
         assert result.returncode == 1
         assert result.stderr.startswith("ERROR:")
+        assert "Traceback" not in result.stderr
         assert result.stdout == ""
 
     def test_huge_window_target_file(self, tmp_path):
@@ -238,6 +241,17 @@ class TestVerify:
         result = run_cli("verify", "--trace", str(path))
         assert result.returncode == 1
         assert "MALFORMED_TRACE" in result.stderr
+
+    def test_deep_nesting(self, tmp_path):
+        # nesting too deep for the parser is one typed line, not a RecursionError
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 10**5 + "]" * 10**5)
+        result = run_cli("verify", "--trace", str(path))
+        assert result.returncode == 1
+        assert result.stdout == ""
+        lines = result.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("MALFORMED_TRACE: trace is not valid JSON: ")
+        assert "Traceback" not in result.stderr
 
     def test_overlong_integer(self, ones_trace_file):
         # json cannot write an integer of more than 4300 digits, so splice it in

@@ -315,25 +315,33 @@ class TestTraceSerialization:
             trace_loads("not json at all")
         with pytest.raises(MalformedTraceError):
             trace_loads('"a bare string"')
+        # nesting too deep for the parser is refused, not a RecursionError
+        with pytest.raises(MalformedTraceError, match="^trace is not valid JSON: "):
+            trace_loads("[" * 10**5 + "]" * 10**5)
 
 
-def _expect_malformed(data):
-    with pytest.raises(MalformedTraceError):
+def _expect_malformed(data) -> str:
+    with pytest.raises(MalformedTraceError) as refused:
         trace_from_dict(data)
+    return str(refused.value)
 
 
 class TestTraceParsingRejections:
     def test_top_level_keys(self, trace_dict):
         missing = dict(trace_dict)
         del missing["phi"]
-        _expect_malformed(missing)
+        assert _expect_malformed(missing) == "trace keys: missing ['phi']"
         extra = dict(trace_dict)
         extra["note"] = "hi"
-        _expect_malformed(extra)
+        assert _expect_malformed(extra) == "trace keys: unexpected ['note']"
 
     def test_bad_target(self, trace_dict):
         trace_dict["f"] = "ones"
         _expect_malformed(trace_dict)
+        # a misspelled key is refused, not dropped
+        trace_dict["f"] = {"window": 0, "values": {"0": 1}, "default": 1, "defualt": 2}
+        assert (_expect_malformed(trace_dict)
+                == "bad target function: target keys: unexpected ['defualt']")
 
     def test_bad_phi(self, trace_dict):
         for bad in (7, "cube", "pow:0.9"):
@@ -361,11 +369,11 @@ class TestTraceParsingRejections:
 
     def test_stage_keys(self, trace_dict):
         trace_dict["stages"][1]["m_covered"] = 2  # derived, never serialized
-        _expect_malformed(trace_dict)
+        assert _expect_malformed(trace_dict) == "stage 2 keys: unexpected ['m_covered']"
 
     def test_stage_missing_key(self, trace_dict):
         del trace_dict["stages"][1]["added"]
-        _expect_malformed(trace_dict)
+        assert _expect_malformed(trace_dict) == "stage 2 keys: missing ['added']"
 
     def test_index_gap(self, trace_dict):
         trace_dict["stages"][1]["index"] = 3

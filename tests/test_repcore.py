@@ -273,6 +273,8 @@ class TestRepTarget:
             RepTarget.from_dict({"window": 0, "values": {"0": True}, "default": 1})
         with pytest.raises(ValueError):
             RepTarget.from_dict({"window": 0, "values": {"0": "infinite"}, "default": 1})
+        with pytest.raises(ValueError, match=r"^target keys: unexpected \['defualt'\]$"):
+            RepTarget.from_dict({"window": 0, "values": {"0": 1}, "default": 1, "defualt": 2})
 
     def test_from_dict_rejects_aliased_keys(self):
         # "0" and "00" both parse to n = 0; neither value may silently win
