@@ -19,7 +19,7 @@ from collections import Counter
 from dataclasses import dataclass
 from json.encoder import c_make_encoder, encode_basestring_ascii
 
-from .errors import MalformedTraceError, PhiTooSlowError, PreconditionViolatedError
+from .errors import MalformedTraceError, PhiTooSlowError, PreconditionViolatedError, echo
 from .repcore import (
     FiniteBasis,
     PhiSpec,
@@ -54,9 +54,9 @@ def resolve_search_cap(cap: int | None = None) -> int:
         try:
             cap = int(raw)
         except ValueError:
-            raise ValueError(f"{SEARCH_CAP_ENV} must be a positive integer, got {raw!r}") from None
+            raise ValueError(f"{SEARCH_CAP_ENV} must be a positive integer, got {echo(raw)}") from None
     if not isinstance(cap, int) or isinstance(cap, bool) or cap < 1:
-        raise ValueError(f"search cap must be a positive integer, got {cap!r}")
+        raise ValueError(f"search cap must be a positive integer, got {echo(cap)}")
     return cap
 
 
@@ -299,7 +299,7 @@ def build(
     phi may be given as a spec string such as "log2" or "pow:1/4".
     """
     if not isinstance(L, int) or isinstance(L, bool) or L < 1:
-        raise ValueError(f"stage count L must be an integer >= 1, got {L!r}")
+        raise ValueError(f"stage count L must be an integer >= 1, got {echo(L)}")
     phi = _as_phi(phi)
     cap = resolve_search_cap(search_cap)
     u_prefix = tuple(target_prefix(f, L + 1))
@@ -330,7 +330,7 @@ def validate_trace_structure(trace: ConstructionTrace) -> None:
             raise MalformedTraceError(f"stage at position {pos} carries index {s.index}")
         if s.kind != expected_kind(pos):
             raise MalformedTraceError(
-                f"stage {pos} kind {s.kind!r} does not match position (want {expected_kind(pos)!r})"
+                f"stage {pos} kind {echo(s.kind)} does not match position (want {expected_kind(pos)!r})"
             )
         if (s.x is not None) != (pos % 2 == 1):
             raise MalformedTraceError(f"stage {pos} must carry x exactly when its index is odd")
@@ -422,7 +422,7 @@ def trace_dumps(trace: ConstructionTrace) -> str:
 
 def _require_int(value, what: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
-        raise MalformedTraceError(f"{what} must be an integer, got {value!r}")
+        raise MalformedTraceError(f"{what} must be an integer, got {echo(value)}")
     return value
 
 

@@ -1,4 +1,5 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the bounded repr their
+messages name a refused value by."""
 
 
 class RepbasisError(Exception):
@@ -45,3 +46,10 @@ class PreconditionViolatedError(RepbasisError):
 
 class MalformedTraceError(RepbasisError):
     code = "MALFORMED_TRACE"
+
+
+def echo(value, limit: int = 80) -> str:
+    """repr(value), cut to `limit` characters and marked with "..." when
+    longer, so that a message naming a refused value of any size stays short."""
+    text = repr(value)
+    return text if len(text) <= limit else text[:limit] + "..."

@@ -16,7 +16,7 @@ from fractions import Fraction
 from itertools import chain
 from typing import Iterable, Iterator, Mapping
 
-from .errors import EmptySetError, InputTooLargeError, PreconditionViolatedError
+from .errors import EmptySetError, InputTooLargeError, PreconditionViolatedError, echo
 
 # Sentinel for "no finite bound at this n".  A plain float keeps min(),
 # comparisons and JSON handling unsurprising.
@@ -42,7 +42,7 @@ def _decode_count(raw, *, what: str):
     if raw == "inf":
         return INFINITY
     if isinstance(raw, bool) or not isinstance(raw, int):
-        raise ValueError(f"{what} must be an integer or \"inf\", got {raw!r}")
+        raise ValueError(f"{what} must be an integer or \"inf\", got {echo(raw)}")
     return raw
 
 
@@ -52,7 +52,7 @@ def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
     out = {}
     for key, value in pairs:
         if key in out:
-            raise ValueError(f"duplicate key {key!r} in a JSON object")
+            raise ValueError(f"duplicate key {echo(key)} in a JSON object")
         out[key] = value
     return out
 
@@ -150,9 +150,9 @@ class RepTarget:
             try:
                 n = int(key)
             except (TypeError, ValueError):
-                raise ValueError(f"target value key {key!r} is not an integer") from None
+                raise ValueError(f"target value key {echo(key)} is not an integer") from None
             if n in values:
-                raise ValueError(f"target value keys name n={n} more than once (at {key!r})")
+                raise ValueError(f"target value keys name n={n} more than once (at {echo(key)})")
             values[n] = _decode_count(raw, what=f"value at n={n}")
         return cls(data["window"], values, _decode_count(data["default"], what="default"))
 
@@ -173,7 +173,7 @@ class FiniteBasis:
         if not {int}.issuperset(map(type, els)):
             for e in els:
                 if isinstance(e, bool) or not isinstance(e, int):
-                    raise ValueError(f"elements must be integers, got {e!r}")
+                    raise ValueError(f"elements must be integers, got {echo(e)}")
         if not all(map(operator.lt, els, els[1:])):
             raise ValueError("elements must be strictly increasing")
 
@@ -320,7 +320,7 @@ class PhiSpec:
 
     def __post_init__(self):
         if self.kind not in _PHI_KINDS:
-            raise ValueError(f"unknown phi kind {self.kind!r}")
+            raise ValueError(f"unknown phi kind {echo(self.kind)}")
         if self.kind in ("log2", "ln"):
             if self.parameter is not None:
                 raise ValueError(f"phi kind {self.kind!r} takes no parameter")
@@ -351,7 +351,7 @@ class PhiSpec:
         try:
             parameter = Fraction(tail)
         except (ValueError, ZeroDivisionError):
-            raise ValueError(f"bad phi parameter {tail!r}") from None
+            raise ValueError(f"bad phi parameter {echo(tail)}") from None
         return cls(head, parameter)
 
     def __str__(self) -> str:

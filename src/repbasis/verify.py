@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from itertools import chain, combinations_with_replacement
+from itertools import chain
 
 from .construct import (
     KIND_BASE,
@@ -20,7 +20,7 @@ from .construct import (
     StageRecord,
     validate_trace_structure,
 )
-from .errors import MalformedTraceError, PreconditionViolatedError
+from .errors import MalformedTraceError, PreconditionViolatedError, echo
 from .repcore import (
     FiniteBasis,
     RepTarget,
@@ -227,12 +227,12 @@ def check_decomposition(A: FiniteBasis, added, kind: str) -> DecompositionReport
     added_tuple = tuple(added)
     bad = [t for t in added_tuple if isinstance(t, bool) or not isinstance(t, int)]
     if bad:
-        raise PreconditionViolatedError(f"added elements must be integers, got {bad[0]!r}")
+        raise PreconditionViolatedError(f"added elements must be integers, got {echo(bad[0])}")
     added_tuple = tuple(sorted(added_tuple))
     if not added_tuple:
         raise PreconditionViolatedError("decomposition needs a nonempty added list")
     if kind not in (KIND_EXTENSION, KIND_DENSIFICATION):
-        raise ValueError(f"kind must be {KIND_EXTENSION!r} or {KIND_DENSIFICATION!r}, got {kind!r}")
+        raise ValueError(f"kind must be {KIND_EXTENSION!r} or {KIND_DENSIFICATION!r}, got {echo(kind)}")
     if kind == KIND_EXTENSION and len(added_tuple) != 2:
         raise PreconditionViolatedError(
             f"an extension adjoins exactly two elements, got {len(added_tuple)}"
@@ -247,52 +247,70 @@ def _decompose(
     counts of A (`sums`), which become the union's in place, and the largest
     union count on a cross or self sum.  With F the distinct added elements
     that A lacks, the union's sums are, as a multiset, the old sums, a + t for
-    a in A and t in F, and t + t' for t <= t' in F."""
-    els, m = A.elements, len(added)
+    a in A and t in F, and t + t' for t <= t' in F.
+
+    Each part is one list of sums and one set of them; a stage that passes
+    every check updates the counts with one dict.update per part.  Counters
+    of the parts are built only to name the witness of a failed check."""
+    els = A.elements
     u = added[0] + added[1] if kind == KIND_EXTENSION else None
-    cross = Counter(chain.from_iterable(map(t.__add__, els) for t in added))
-    self_part = Counter(s + t for s, t in combinations_with_replacement(added, 2))
-    checks: list[CheckResult] = []
-
-    checks.append(_unique_part_check("cross_part_unique", cross, len(els) * m))
-    checks.append(_unique_part_check("self_part_unique", self_part, m * (m + 1) // 2))
-    checks.append(_disjoint_check("old_cross_disjoint", sums, cross, exempt=None))
-    checks.append(_disjoint_check("cross_self_disjoint", cross, self_part, exempt=None))
-    checks.append(_disjoint_check("old_self_disjoint", sums, self_part, exempt=u))
-
-    # the piecewise formula on every cross and self sum: 1 on a new sum, the old
-    # count on an old one, one more than that at the covered target; off those
-    # sums the formula and the union both give the old count
-    expected = dict.fromkeys(chain(cross, self_part), 1)
-    for n in expected.keys() & sums.keys():
-        expected[n] = sums[n] + (n == u)
-
-    new = sorted(set(added).difference(els))
-    sums.update(chain.from_iterable(map(t.__add__, chain(els, new[i:])) for i, t in enumerate(new)))
-    # one C-level comparison settles a full match, as every cross and self sum
-    # is a key of the union's counts; otherwise the per-sum scan names the
-    # smallest witness
-    if expected.items() <= sums.items():
+    cross = list(chain.from_iterable(map(t.__add__, els) for t in added))
+    self_part = list(chain.from_iterable(map(t.__add__, added[i:]) for i, t in enumerate(added)))
+    cross_set, self_set = set(cross), set(self_part)
+    checks = [
+        _unique_part_check("cross_part_unique", cross, cross_set),
+        _unique_part_check("self_part_unique", self_part, self_set),
+        _disjoint_check("old_cross_disjoint", sums.keys(), cross_set, exempt=None),
+        _disjoint_check("cross_self_disjoint", cross_set, self_set, exempt=None),
+        _disjoint_check("old_self_disjoint", sums.keys(), self_set, exempt=u),
+    ]
+    if all(c.passed for c in checks):
+        # a repeated t, or a t already in A, would give 2t twice, so F is
+        # `added` and the union counts 1 on each cross and self sum but u,
+        # which gains one: the piecewise formula holds by arithmetic
+        top = sums.get(u, 0) + 1
+        dict.update(sums, dict.fromkeys(cross_set, 1))
+        dict.update(sums, dict.fromkeys(self_set, 1))
+        if top > 1:
+            sums[u] = top
+        n = None
+    else:
+        # the piecewise formula on every cross and self sum: 1 on a new sum, the
+        # old count on an old one, one more than that at the covered target; off
+        # those sums the formula and the union both give the old count
+        expected = dict.fromkeys(chain(cross, self_part), 1)
+        for n in expected.keys() & sums.keys():
+            expected[n] = sums[n] + (n == u)
+        new = sorted(set(added).difference(els))
+        sums.update(chain.from_iterable(map(t.__add__, chain(els, new[i:])) for i, t in enumerate(new)))
+        # one C-level comparison settles a full match, as every cross and self
+        # sum is a key of the union's counts; otherwise the per-sum scan names
+        # the smallest witness
+        n = None if expected.items() <= sums.items() else next(
+            n for n in sorted(expected) if sums[n] != expected[n])
+        # the union's counts differ from A's only on cross and self sums
+        top = max(map(sums.get, expected))
+    if n is None:
         checks.append(_ok("piecewise_formula", None, "piecewise counts match brute force"))
     else:
-        n = next(n for n in sorted(expected) if sums[n] != expected[n])
         detail = f"rep count at n={n} is {sums[n]}, piecewise formula gives {expected[n]}"
         checks.append(_fail("piecewise_formula", None, n, detail))
-    # the union's counts differ from A's only on cross and self sums
-    return DecompositionReport(kind=kind, checks=tuple(checks)), max(map(sums.get, expected))
+    return DecompositionReport(kind=kind, checks=tuple(checks)), top
 
 
-def _unique_part_check(name: str, part: Counter, pairs: int) -> CheckResult:
-    # the part's sums are distinct exactly when it has one key per pair
-    if len(part) != pairs:
-        n = min(n for n, k in part.items() if k > 1)
-        return _fail(name, None, n, f"sum {n} realized {part[n]} times within one part")
+def _unique_part_check(name: str, part: list[int], distinct: set[int]) -> CheckResult:
+    # the part's sums are distinct exactly when its set is as long as its list
+    if len(distinct) != len(part):
+        counts = Counter(part)
+        n = min(n for n, k in counts.items() if k > 1)
+        return _fail(name, None, n, f"sum {n} realized {counts[n]} times within one part")
     return _ok(name, None, "all sums within the part are distinct")
 
 
-def _disjoint_check(name: str, left: Counter, right: Counter, exempt: int | None) -> CheckResult:
-    # C-level intersection that probes the smaller key view in the larger
-    overlap = left.keys() & right.keys()
+def _disjoint_check(name: str, left, right: set[int], exempt: int | None) -> CheckResult:
+    # C-level intersection that probes the smaller of the key view or set in
+    # the larger
+    overlap = left & right
     if exempt is not None:
         overlap.discard(exempt)
     if overlap:
@@ -311,8 +329,13 @@ def upper_bound_check(A: FiniteBasis, x: int, r: int) -> bool:
     """Exact pigeonhole sanity bound: with k elements in [-x, x], the
     k(k+1)/2 pair sums land in [-2x, 2x], so k(k+1)/2 <= r(4x+1) whenever
     every rep count is at most r."""
-    k = counting(A, -x, x)
-    return k * (k + 1) // 2 <= r * (4 * x + 1)
+    return _pigeonhole(counting(A, -x, x), x, r)[0]
+
+
+def _pigeonhole(k: int, x: int, r: int) -> tuple[bool, str]:
+    """Whether k(k+1)/2 <= r(4x+1), and the detail that names both sides."""
+    pairs, slots = k * (k + 1) // 2, r * (4 * x + 1)
+    return pairs <= slots, f"k={k}, k(k+1)/2={pairs}, bound r(4x+1)={slots}"
 
 
 @dataclass(frozen=True, eq=True)
@@ -406,9 +429,11 @@ def verify_trace(trace: ConstructionTrace) -> VerificationReport:
 
     One walk over the stages tallies each pair once: a stage whose nesting
     check fails, and stage 1, are counted pair by pair; any other stage takes
-    the count its decomposition derives in place from its predecessor's.
-    Counts only grow along a nested chain, so such a stage's largest count is
-    its predecessor's or one on its cross and self sums.
+    the count its decomposition derives in place from its predecessor's, by
+    dict updates on its cross and self sums when every decomposition check
+    passes.  Counts only grow along a nested chain, so such a stage's largest
+    count is its predecessor's or one on its cross and self sums.  Each
+    (stage, checkpoint) pair counts the stage's elements in [-x, x] once.
     """
     validate_trace_structure(trace)
     bounds = [(x, r) for _, x, _ in trace.checkpoints()
@@ -434,12 +459,8 @@ def verify_trace(trace: ConstructionTrace) -> VerificationReport:
             top = max(counts.values(), default=0)
         invariants += _stage_invariants(trace, s, nesting, counts, top, floor)
         for x, r in bounds:
-            k = counting(s.set, -x, x)
-            detail = f"k={k}, k(k+1)/2={k * (k + 1) // 2}, bound r(4x+1)={r * (4 * x + 1)}"
-            if upper_bound_check(s.set, x, r):
-                upper_bounds.append(_ok("upper_bound", s.index, detail))
-            else:
-                upper_bounds.append(_fail("upper_bound", s.index, x, detail))
+            fits, detail = _pigeonhole(counting(s.set, -x, x), x, r)
+            upper_bounds.append(CheckResult("upper_bound", s.index, fits, None if fits else x, detail))
         prev = s.set
     return VerificationReport(
         invariants=InvariantReport(tuple(invariants + _trace_invariants(trace))),

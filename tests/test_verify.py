@@ -30,6 +30,7 @@ from repbasis import (
     upper_bound_check,
     verify_trace,
 )
+from repbasis.verify import _decompose
 
 F_ONES = RepTarget.constant(1)
 F_TWOS = RepTarget.constant(2)
@@ -185,16 +186,25 @@ class TestDecomposition:
             ((1, 2), (10, 20, 40, 80, 130), KIND_DENSIFICATION),
             ((-4, 4), (-17, 17), KIND_EXTENSION),
             ((), (-9, 9), KIND_EXTENSION),
+            ((1, 4), (-20, 25), KIND_EXTENSION),  # the covered target 5 is an old sum
         ],
     )
     def test_matches_the_per_sum_references(self, A, added, kind):
         A = FiniteBasis(A)
         checks = {c.condition: c for c in check_decomposition(A, added, kind).checks}
-        witnesses, detail = _reference_decomposition(A, added, kind, sum_counter(A.union(added)))
+        union = sum_counter(A.union(added))
+        witnesses, detail = _reference_decomposition(A, added, kind, union)
         for name, witness in witnesses.items():
             assert (checks[name].passed, checks[name].witness) == (witness is None, witness)
         if detail is not None:
             assert checks["piecewise_formula"].detail == detail
+        # the counts of A become the union's in place, on a passing stage and a failing one
+        counts = sum_counter(A)
+        _, top = _decompose(A, counts, tuple(sorted(added)), kind)
+        assert counts == union
+        new_sums = [a + t for a in A for t in added]
+        new_sums += [s + t for s, t in combinations_with_replacement(sorted(added), 2)]
+        assert top == max(counts[n] for n in new_sums)
 
     def test_empty_added_rejected(self):
         with pytest.raises(PreconditionViolatedError):
@@ -370,15 +380,17 @@ def _reference_pair_bound(counts, f):
 
 
 def _reference_decomposition(A, added, kind, actual):
-    """Witnesses (None for a pass) of the disjointness checks and the sorted
-    piecewise walk, written out sum by sum over A plus `added`, and the
-    piecewise walk's detail when it fails."""
+    """Witnesses (None for a pass) of the uniqueness and disjointness checks
+    and the sorted piecewise walk, written out sum by sum over A plus
+    `added`, and the piecewise walk's detail when it fails."""
     added = sorted(added)
     old = sum_counter(A)
     cross = Counter(a + t for a in A for t in added)
     self_part = Counter(s + t for s, t in combinations_with_replacement(added, 2))
     u = added[0] + added[1] if kind == KIND_EXTENSION else None
     witnesses = {}
+    for name, part in (("cross_part_unique", cross), ("self_part_unique", self_part)):
+        witnesses[name] = min((n for n, k in part.items() if k > 1), default=None)
     for name, left, right, exempt in (("old_cross_disjoint", old, cross, None),
                                       ("cross_self_disjoint", cross, self_part, None),
                                       ("old_self_disjoint", old, self_part, u)):
