@@ -327,7 +327,7 @@ def validate_trace_structure(trace: ConstructionTrace) -> None:
         raise MalformedTraceError("trace must end on a checkpoint stage (odd stage count)")
     for pos, s in enumerate(stages, start=1):
         if s.index != pos:
-            raise MalformedTraceError(f"stage at position {pos} carries index {s.index}")
+            raise MalformedTraceError(f"stage at position {pos} carries index {echo(s.index)}")
         if s.kind != expected_kind(pos):
             raise MalformedTraceError(
                 f"stage {pos} kind {echo(s.kind)} does not match position (want {expected_kind(pos)!r})"
@@ -335,7 +335,7 @@ def validate_trace_structure(trace: ConstructionTrace) -> None:
         if (s.x is not None) != (pos % 2 == 1):
             raise MalformedTraceError(f"stage {pos} must carry x exactly when its index is odd")
         if s.x is not None and s.x < 1:
-            raise MalformedTraceError(f"stage {pos} checkpoint x must be positive, got {s.x}")
+            raise MalformedTraceError(f"stage {pos} checkpoint x must be positive, got {echo(s.x)}")
     want_targets = (len(stages) + 1) // 2
     if len(trace.u_prefix) != want_targets:
         raise MalformedTraceError(

@@ -48,8 +48,8 @@ class MalformedTraceError(RepbasisError):
     code = "MALFORMED_TRACE"
 
 
-def echo(value, limit: int = 80) -> str:
-    """repr(value), cut to `limit` characters and marked with "..." when
-    longer, so that a message naming a refused value of any size stays short."""
+def echo(value) -> str:
+    """repr(value), cut to 80 characters and marked with "..." when longer,
+    so that a message naming a refused value of any size stays short."""
     text = repr(value)
-    return text if len(text) <= limit else text[:limit] + "..."
+    return text if len(text) <= 80 else text[:80] + "..."

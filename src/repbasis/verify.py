@@ -257,13 +257,14 @@ def _decompose(
     cross = list(chain.from_iterable(map(t.__add__, els) for t in added))
     self_part = list(chain.from_iterable(map(t.__add__, added[i:]) for i, t in enumerate(added)))
     cross_set, self_set = set(cross), set(self_part)
-    checks = [
-        _unique_part_check("cross_part_unique", cross, cross_set),
-        _unique_part_check("self_part_unique", self_part, self_set),
-        _disjoint_check("old_cross_disjoint", sums.keys(), cross_set, exempt=None),
-        _disjoint_check("cross_self_disjoint", cross_set, self_set, exempt=None),
-        _disjoint_check("old_self_disjoint", sums.keys(), self_set, exempt=u),
-    ]
+    checks: list[CheckResult] = []
+
+    checks.append(_unique_part_check("cross_part_unique", cross, cross_set))
+    checks.append(_unique_part_check("self_part_unique", self_part, self_set))
+    checks.append(_disjoint_check("old_cross_disjoint", sums.keys(), cross_set, exempt=None))
+    checks.append(_disjoint_check("cross_self_disjoint", cross_set, self_set, exempt=None))
+    checks.append(_disjoint_check("old_self_disjoint", sums.keys(), self_set, exempt=u))
+
     if all(c.passed for c in checks):
         # a repeated t, or a t already in A, would give 2t twice, so F is
         # `added` and the union counts 1 on each cross and self sum but u,
@@ -273,37 +274,36 @@ def _decompose(
         dict.update(sums, dict.fromkeys(self_set, 1))
         if top > 1:
             sums[u] = top
-        n = None
-    else:
-        # the piecewise formula on every cross and self sum: 1 on a new sum, the
-        # old count on an old one, one more than that at the covered target; off
-        # those sums the formula and the union both give the old count
-        expected = dict.fromkeys(chain(cross, self_part), 1)
-        for n in expected.keys() & sums.keys():
-            expected[n] = sums[n] + (n == u)
-        new = sorted(set(added).difference(els))
-        sums.update(chain.from_iterable(map(t.__add__, chain(els, new[i:])) for i, t in enumerate(new)))
-        # one C-level comparison settles a full match, as every cross and self
-        # sum is a key of the union's counts; otherwise the per-sum scan names
-        # the smallest witness
-        n = None if expected.items() <= sums.items() else next(
-            n for n in sorted(expected) if sums[n] != expected[n])
-        # the union's counts differ from A's only on cross and self sums
-        top = max(map(sums.get, expected))
-    if n is None:
+        checks.append(_ok("piecewise_formula", None, "piecewise counts match brute force"))
+        return DecompositionReport(kind=kind, checks=tuple(checks)), top
+
+    # the piecewise formula on every cross and self sum: 1 on a new sum, the old
+    # count on an old one, one more than that at the covered target; off those
+    # sums the formula and the union both give the old count
+    expected = dict.fromkeys(chain(cross, self_part), 1)
+    for n in expected.keys() & sums.keys():
+        expected[n] = sums[n] + (n == u)
+
+    new = sorted(set(added).difference(els))
+    sums.update(chain.from_iterable(map(t.__add__, chain(els, new[i:])) for i, t in enumerate(new)))
+    # one C-level comparison settles a full match, as every cross and self sum
+    # is a key of the union's counts; otherwise the per-sum scan names the
+    # smallest witness
+    if expected.items() <= sums.items():
         checks.append(_ok("piecewise_formula", None, "piecewise counts match brute force"))
     else:
+        n = next(n for n in sorted(expected) if sums[n] != expected[n])
         detail = f"rep count at n={n} is {sums[n]}, piecewise formula gives {expected[n]}"
         checks.append(_fail("piecewise_formula", None, n, detail))
-    return DecompositionReport(kind=kind, checks=tuple(checks)), top
+    # the union's counts differ from A's only on cross and self sums
+    return DecompositionReport(kind=kind, checks=tuple(checks)), max(map(sums.get, expected))
 
 
 def _unique_part_check(name: str, part: list[int], distinct: set[int]) -> CheckResult:
     # the part's sums are distinct exactly when its set is as long as its list
     if len(distinct) != len(part):
-        counts = Counter(part)
-        n = min(n for n, k in counts.items() if k > 1)
-        return _fail(name, None, n, f"sum {n} realized {counts[n]} times within one part")
+        n = min(n for n, k in Counter(part).items() if k > 1)
+        return _fail(name, None, n, f"sum {n} realized {part.count(n)} times within one part")
     return _ok(name, None, "all sums within the part are distinct")
 
 
@@ -332,10 +332,10 @@ def upper_bound_check(A: FiniteBasis, x: int, r: int) -> bool:
     return _pigeonhole(counting(A, -x, x), x, r)[0]
 
 
-def _pigeonhole(k: int, x: int, r: int) -> tuple[bool, str]:
-    """Whether k(k+1)/2 <= r(4x+1), and the detail that names both sides."""
+def _pigeonhole(k: int, x: int, r: int) -> tuple[bool, int, int]:
+    """Whether k(k+1)/2 <= r(4x+1), with both sides."""
     pairs, slots = k * (k + 1) // 2, r * (4 * x + 1)
-    return pairs <= slots, f"k={k}, k(k+1)/2={pairs}, bound r(4x+1)={slots}"
+    return pairs <= slots, pairs, slots
 
 
 @dataclass(frozen=True, eq=True)
@@ -459,8 +459,13 @@ def verify_trace(trace: ConstructionTrace) -> VerificationReport:
             top = max(counts.values(), default=0)
         invariants += _stage_invariants(trace, s, nesting, counts, top, floor)
         for x, r in bounds:
-            fits, detail = _pigeonhole(counting(s.set, -x, x), x, r)
-            upper_bounds.append(CheckResult("upper_bound", s.index, fits, None if fits else x, detail))
+            k = counting(s.set, -x, x)
+            fits, pairs, slots = _pigeonhole(k, x, r)
+            detail = f"k={k}, k(k+1)/2={pairs}, bound r(4x+1)={slots}"
+            if fits:
+                upper_bounds.append(_ok("upper_bound", s.index, detail))
+            else:
+                upper_bounds.append(_fail("upper_bound", s.index, x, detail))
         prev = s.set
     return VerificationReport(
         invariants=InvariantReport(tuple(invariants + _trace_invariants(trace))),

@@ -415,7 +415,9 @@ class TestTraceParsingRejections:
     def test_set_entries_must_be_integers(self, trace_dict):
         # the first offender is named, whatever follows it
         for bad, named in (([1, "2"], "'2'"), ([1, True], "True"), ([1, 2.5], "2.5"),
-                           ([1, True, 2.5, "2"], "True"), ([2.5, 1, "2"], "2.5")):
+                           ([1, True, 2.5, "2"], "True"), ([2.5, 1, "2"], "2.5"),
+                           # a long value is named by the first 80 characters of its repr
+                           ([1, list(range(100))], repr(list(range(100)))[:80] + "...")):
             for key, what in (("set", "stage 1 set"), ("added", "stage 1 added"),
                               ("u_prefix", "u_prefix")):
                 data = json.loads(json.dumps(trace_dict))
