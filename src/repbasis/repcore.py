@@ -331,15 +331,17 @@ class PhiSpec:
             if self.parameter is None or self.parameter <= 0:
                 raise ValueError("clog coefficient must be positive")
         if self.parameter is not None:
-            if isinstance(self.parameter, bool):
-                raise ValueError(f"bad phi parameter {self.parameter!r}")
-            # phi is evaluated in floats, so the parameter must be one
+            if isinstance(self.parameter, bool) or not isinstance(self.parameter, (int, Fraction)):
+                raise ValueError(f"bad phi parameter {echo(self.parameter)}")
+            # phi is evaluated in floats, so the parameter must be one; it is
+            # named by its power of ten, as its digits may be too many to print
             try:
                 as_float = float(self.parameter)
             except OverflowError:
                 as_float = math.inf
             if not 0 < as_float < math.inf:
-                raise ValueError(f"phi parameter {self.parameter} is outside the float range")
+                power = round(math.log10(self.parameter.numerator) - math.log10(self.parameter.denominator))
+                raise ValueError(f"phi parameter of {self.kind} is about 10^{power}, outside the float range")
 
     @classmethod
     def parse(cls, text: str) -> "PhiSpec":

@@ -7,16 +7,29 @@ with 4*|D|**2 > n, i.e. |D| > sqrt(n)/2.
 
 from __future__ import annotations
 
-import math
+import itertools
+import threading
 from dataclasses import dataclass
 from typing import Iterable
 
 from .errors import DensityUnreachableError, InputTooLargeError, InputTooSmallError
 from .repcore import FiniteBasis
 
-# Largest ambient bound the constructions accept: the greedy ladder's bitsets
-# grow with the largest element, and advance(10**8) takes 27 s and 105 MB.
+# Largest ambient bound the constructions accept: the shared greedy walk's
+# bitsets grow with the largest element, and reaching 10**8 takes 27 s, peaks
+# at 130 MB and leaves about 38 MB held for the life of the process.
 SIDON_N_LIMIT = 10**8
+
+# The two fixed sequences every SidonLadder reads, grown on demand and kept
+# for the life of the process.  _walk = (elements, below, diffs, window) holds
+# the Mian-Chowla elements found so far and the first-fit bitsets after the
+# last of them (see SidonLadder); each step replaces it whole, in one
+# assignment, so a step that raises leaves the walk as it was.  _PRIMES holds
+# the primes in order.  One thread at a time grows them, under _GROWING;
+# readers need no lock, as a sequence only ever gets longer.
+_walk = ((1,), 1, 1, 1)
+_PRIMES = [2]
+_GROWING = threading.Lock()
 
 
 @dataclass(frozen=True, eq=True)
@@ -61,6 +74,39 @@ def _is_prime(p: int) -> bool:
     return True
 
 
+def _greedy_at(i: int) -> int:
+    """The Mian-Chowla element of index i (from 0), walking to it first."""
+    while len(_walk[0]) <= i:
+        _grow_walk()
+    return _walk[0][i]
+
+
+def _grow_walk() -> None:
+    """Add the next Mian-Chowla element, at the lowest clear bit of window."""
+    global _walk
+    with _GROWING:
+        elements, below, diffs, window = _walk
+        gap = (window ^ (window + 1)).bit_length() - 1
+        below = (below << gap) | 1
+        diffs |= below
+        _walk = (elements + (elements[-1] + gap,), below, diffs, (window >> gap) | diffs)
+
+
+def _prime_at(i: int) -> int:
+    """The prime of index i (from 0), found first by trial division."""
+    while len(_PRIMES) <= i:
+        with _GROWING:
+            _PRIMES.append(next(q for q in itertools.count(_PRIMES[-1] + 1) if _is_prime(q)))
+    return _PRIMES[i]
+
+
+def _admitted_primes(n: int, known: int = 0) -> int:
+    """How many primes p have 2*p*p <= n, counting on past the first known."""
+    while 2 * _prime_at(known) ** 2 <= n:
+        known += 1
+    return known
+
+
 def _reject_too_large(n: int) -> None:
     if n > SIDON_N_LIMIT:
         raise InputTooLargeError(f"Sidon bound n={n} exceeds {SIDON_N_LIMIT}")
@@ -83,10 +129,7 @@ def erdos_turan_sidon(n: int) -> SidonSet:
     if n < 8:
         raise InputTooSmallError("algebraic construction needs n >= 8")
     _reject_too_large(n)
-    p = math.isqrt(n // 2)  # the largest p with 2*p*p <= n
-    while not _is_prime(p):
-        p -= 1
-    return SidonSet(_et_elements(p), n)
+    return SidonSet(_et_elements(_PRIMES[_admitted_primes(n) - 1]), n)
 
 
 def _et_elements(p: int) -> tuple[int, ...]:
@@ -113,86 +156,68 @@ def sidon_for_density(n: int) -> SidonSet:
 
 
 class SidonLadder:
-    """Incremental view of both constructions as the ambient bound grows.
+    """A cursor over both constructions as the ambient bound n grows.
 
-    The admissible-x scans move the bound forward; recomputing either
-    construction from scratch per bound would be quadratic overall.  The
-    greedy set is extended in place (first-fit is prefix-monotone) and the
-    algebraic prime ratchets forward at each bound 2q^2.
+    The admissible-x scans move the bound forward, and every scan reads
+    the same two fixed sequences: the Mian-Chowla (first-fit) elements and
+    the primes.  Both are grown on demand in module state shared by every
+    ladder of the process, so a ladder holds only n, the number of greedy
+    elements in [1, n] and the number of primes p with 2p^2 <= n; a later
+    ladder re-reads what an earlier one walked instead of walking it again.
 
     The ladder never visits the bounds in between: it jumps from one event
-    (the next greedy element, the next ratchet bound, the caller's limit) to
-    the next.  A candidate c above the newest element g fails first-fit
-    exactly when c = b + d for an element b and a difference d = a - e of
-    elements e < a <= b (2c exceeds every pair sum).  So three int bitsets
-    find the next greedy element at once: `_below` has bit j when g - j is
-    an element, `_diffs` bit d for each difference (bit 0 included), and
-    `_window` bit j when g + j is forbidden.  Adding g shifts `_below` up
-    and `_window` down by the gap, ORs `_below` into `_diffs` and `_diffs`
-    into `_window`; the lowest zero bit of `_window` is the next element.
+    (the next greedy element, the next bound 2p^2 of a prime p, the
+    caller's limit) to the next.  The walk finds the next greedy element at
+    once: a candidate c above the newest element g fails first-fit exactly
+    when c = b + d for an element b and a difference d = a - e of elements
+    e < a <= b (2c exceeds every pair sum).  So three int bitsets suffice:
+    `below` has bit j when g - j is an element, `diffs` bit d for each
+    difference (bit 0 included), and `window` bit j when g + j is
+    forbidden.  Adding the element g + j at the lowest clear bit j of
+    `window` shifts `below` up and `window` down by j, ORs `below` into
+    `diffs` and `diffs` into `window`.
     """
 
     def __init__(self):
-        self._greedy: list[int] = []
-        self._below = self._diffs = self._window = 0
-        self._next = 1  # the smallest greedy element not yet added
-        self._prime = 0
-        self._next_q = 2
-        self._next_q_at = 8  # 2 * next_q**2, the bound that admits next_q
         self._n = 0
+        self._count = 0  # greedy elements in [1, n]
+        self._primes = 0  # primes p with 2*p*p <= n
 
     def advance(self, n: int) -> None:
         if n < self._n:
             raise ValueError("ladder only moves forward")
-        while self._next <= n:
-            self._add_next()
-        while self._next_q_at <= n:
-            self._ratchet()
+        while _greedy_at(self._count) <= n:
+            self._count += 1
+        self._primes = _admitted_primes(n, self._primes)
         self._n = n
 
     def advance_to_growth(self, limit: int) -> int | None:
         """Move the bound to the first n <= limit where best_size() grows and
         return that n; return None once the bound reaches limit without it."""
         best = self.best_size()
-        while (n := min(self._next, self._next_q_at)) <= limit:
+        while True:
+            g, p = _greedy_at(self._count), _prime_at(self._primes)
+            n = min(g, 2 * p * p)
+            if n > limit:
+                break
             self._n = n
-            if n == self._next_q_at:
-                self._ratchet()
-            if n == self._next:
-                self._add_next()
+            self._count += n == g
+            self._primes += n == 2 * p * p
             if self.best_size() > best:
                 return n
         self._n = max(self._n, limit)
         return None
 
-    def _ratchet(self) -> None:
-        """Admit next_q, whose bound 2q^2 the ladder has reached."""
-        q = self._next_q
-        if _is_prime(q):
-            self._prime = q
-        self._next_q = q + 1
-        self._next_q_at = 2 * (q + 1) ** 2
-
-    def _add_next(self) -> None:
-        """Append the next greedy element g and find the one after it."""
-        g = self._next
-        gap = g - (self._greedy[-1] if self._greedy else 0)
-        self._greedy.append(g)
-        self._below = (self._below << gap) | 1
-        self._diffs |= self._below
-        window = self._window = (self._window >> gap) | self._diffs
-        self._next = g + (window ^ (window + 1)).bit_length() - 1
-
     def greedy_prefix(self) -> list[int]:
-        return list(self._greedy)
+        return list(_walk[0][: self._count])
 
     def best_size(self) -> int:
         """Size of the better construction at the current bound."""
-        return max(len(self._greedy), self._prime)
+        return max(self._count, _PRIMES[self._primes - 1] if self._primes else 0)
 
     def best_elements(self) -> SidonSet:
         """Materialize the better construction (algebraic wins ties only if
         strictly larger, matching sidon_for_density)."""
-        if self._prime > len(self._greedy):
-            return SidonSet(_et_elements(self._prime), self._n)
-        return SidonSet(tuple(self._greedy), self._n)
+        if (size := self.best_size()) > self._count:
+            return SidonSet(_et_elements(size), self._n)
+        return SidonSet(_walk[0][: self._count], self._n)

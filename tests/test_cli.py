@@ -102,6 +102,15 @@ class TestBuild:
         assert result.stderr.startswith("ERROR: phi parameter")
         assert "Traceback" not in result.stderr
 
+    @pytest.mark.parametrize("phi", ["clog:1e-4000", "clog:1e-5000", "pow:1e-5000", "clog:1e400"])
+    def test_phi_parameter_far_outside_the_float_range(self, ones_file, phi):
+        result = run_cli("build", "--f", str(ones_file), "--phi", phi, "--stages", "1")
+        assert result.returncode == 1
+        assert result.stdout == ""
+        [line] = result.stderr.splitlines()
+        assert line.startswith(f"ERROR: phi parameter of {phi.split(':')[0]} is about 10^")
+        assert len(line) <= 200
+
     def test_search_cap_flag(self, ones_file):
         result = run_cli("build", "--f", str(ones_file), "--phi", "log2",
                          "--stages", "1", "--search-cap", "10")

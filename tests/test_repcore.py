@@ -463,8 +463,28 @@ class TestPhiSpec:
         with pytest.raises(ValueError, match="phi parameter .* outside the float range"):
             PhiSpec.parse(text)
 
+    @pytest.mark.parametrize("text, named", [
+        ("clog:1e-4000", "phi parameter of clog is about 10^-4000"),
+        ("clog:1e-5000", "phi parameter of clog is about 10^-5000"),
+        ("pow:1e-5000", "phi parameter of pow is about 10^-5000"),
+        ("clog:1e400", "phi parameter of clog is about 10^400"),
+    ])
+    def test_a_parameter_far_outside_the_float_range_is_named_by_its_size(self, text, named):
+        # printing 1e-5000 in full passes the interpreter's 4300-digit limit
+        with pytest.raises(ValueError) as refused:
+            PhiSpec.parse(text)
+        assert str(refused.value) == f"{named}, outside the float range"
+
     def test_accepts_subnormal_parameters(self):
         assert PhiSpec.parse("clog:1e-320").evaluate(0) > 0
+
+    def test_parameters_are_exact_rationals(self):
+        # an infinite float would otherwise reach the range check, which
+        # names a parameter by its numerator and denominator
+        with pytest.raises(ValueError, match="bad phi parameter inf"):
+            PhiSpec("clog", math.inf)
+        with pytest.raises(ValueError, match="bad phi parameter 0.25"):
+            PhiSpec("pow", 0.25)
 
     def test_direct_constructor_validation(self):
         with pytest.raises(ValueError):

@@ -1,5 +1,8 @@
 """Greedy and algebraic Sidon constructions plus the incremental ladder."""
 
+import sys
+import threading
+
 import pytest
 
 import repbasis.sidon as sidon_mod
@@ -362,3 +365,103 @@ class TestSidonLadder:
                 ref.advance(max(start, stop))
                 assert ladder.greedy_prefix() == ref.greedy_prefix()
                 assert ladder.best_elements() == ref.best_elements()
+
+
+@pytest.fixture()
+def fresh_walk(monkeypatch):
+    """Start the process-wide greedy walk and prime list from their first
+    terms, so the test decides which ladder grows them; the state the
+    process had is put back afterwards."""
+    monkeypatch.setattr(sidon_mod, "_walk", ((1,), 1, 1, 1))
+    monkeypatch.setattr(sidon_mod, "_PRIMES", [2])
+
+
+def reference_at(n):
+    reference = ReferenceLadder()
+    reference.advance(n)
+    return reference
+
+
+class TestSharedWalk:
+    @pytest.mark.parametrize("far_first", [True, False])
+    def test_interleaved_ladders_match_the_reference(self, fresh_walk, far_first):
+        far, near, reference = SidonLadder(), SidonLadder(), ReferenceLadder()
+        if far_first:
+            far.advance(10**5)
+        for n in range(401):
+            near.advance(n)
+            reference.advance(n)
+            assert same_state(near, reference), n
+        if not far_first:
+            far.advance(10**5)
+        assert same_state(far, reference_at(10**5))
+        # the near ladder reads on from where it stopped, past the far one's reach
+        while (n := near.advance_to_growth(10**5 + 500)) is not None:
+            reference.advance(n)
+            assert same_state(near, reference), n
+
+    def test_a_returned_prefix_can_be_changed_freely(self, fresh_walk):
+        ladder = SidonLadder()
+        ladder.advance(MIAN_CHOWLA[-1])
+        prefix = ladder.greedy_prefix()
+        prefix[0] = 99
+        prefix.append(500)
+        prefix.clear()
+        assert ladder.greedy_prefix() == list(MIAN_CHOWLA)
+        assert ladder.best_elements().elements == MIAN_CHOWLA
+        assert greedy_sidon(MIAN_CHOWLA[-1]).elements == MIAN_CHOWLA
+        fresh = SidonLadder()
+        fresh.advance(5000)
+        assert same_state(fresh, reference_at(5000))
+
+    @pytest.mark.parametrize("step", ["_grow_walk", "_is_prime"])
+    @pytest.mark.parametrize("k", [1, 7, 40])
+    def test_a_step_that_raises_leaves_later_ladders_exact(self, fresh_walk, monkeypatch, step, k):
+        original, calls = getattr(sidon_mod, step), []
+
+        def interrupted(*args):
+            calls.append(args)
+            if len(calls) == k:
+                raise KeyboardInterrupt
+            return original(*args)
+
+        monkeypatch.setattr(sidon_mod, step, interrupted)
+        ladder = SidonLadder()
+        with pytest.raises(KeyboardInterrupt):
+            ladder.advance(20000)
+        ladder.advance(20000)
+        reference = reference_at(20000)
+        assert same_state(ladder, reference)
+        for n in (0, 500, 20000, 30000):
+            fresh = SidonLadder()
+            fresh.advance(n)
+            assert same_state(fresh, reference_at(n)), n
+
+    def test_threads_grow_one_walk(self, fresh_walk):
+        # fresh walks, each grown by four threads at once, with a thread
+        # switch as often as the interpreter allows
+        whole = reference_at(60000).greedy_prefix()
+        wrong = []
+
+        def work(t):
+            for n in range(1000 + t, 60000, 997):
+                ladder = SidonLadder()
+                ladder.advance(n)
+                if ladder.greedy_prefix() != [e for e in whole if e <= n]:
+                    wrong.append(n)
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(20):
+                sidon_mod._walk = ((1,), 1, 1, 1)
+                threads = [threading.Thread(target=work, args=(t,)) for t in range(4)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60)
+                    assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(old)
+        assert wrong == []
+        assert greedy_sidon(60000).elements == tuple(whole)
