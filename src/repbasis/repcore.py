@@ -9,6 +9,7 @@ from __future__ import annotations
 import json
 import math
 import operator
+import sys
 from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass
@@ -342,6 +343,13 @@ class PhiSpec:
             if not 0 < as_float < math.inf:
                 power = round(math.log10(self.parameter.numerator) - math.log10(self.parameter.denominator))
                 raise ValueError(f"phi parameter of {self.kind} is about 10^{power}, outside the float range")
+            # str() writes the parameter in full, which the interpreter refuses
+            # past its digit limit (0: none; absent on older interpreters); a
+            # b-bit integer has at most b*log10(2) + 1 digits
+            limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+            digits = int(max(map(int.bit_length, self.parameter.as_integer_ratio())) * math.log10(2)) + 1
+            if limit and digits > limit:
+                raise ValueError(f"phi parameter of {self.kind} has up to {digits} digits, past the limit of {limit}")
 
     @classmethod
     def parse(cls, text: str) -> "PhiSpec":

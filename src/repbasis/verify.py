@@ -106,11 +106,17 @@ def check_invariants(trace: ConstructionTrace) -> InvariantReport:
     checks: list[CheckResult] = []
     prev: FiniteBasis | None = None
     for s in trace.stages:
-        counts = sum_counter(s.set)
-        top = max(counts.values(), default=0)
+        counts, top = _recount(s.set)
         checks += _stage_invariants(trace, s, _nesting_check(s, prev), counts, top, floor)
         prev = s.set
     return InvariantReport(tuple(checks + _trace_invariants(trace)))
+
+
+def _recount(A: FiniteBasis) -> tuple[Counter, int]:
+    """The pair-sum counts of A and the largest of them.  When the k(k+1)/2
+    pairs give as many distinct sums, every count is 1 and none is read."""
+    counts, k = sum_counter(A), len(A)
+    return counts, min(k, 1) if len(counts) == k * (k + 1) // 2 else max(counts.values())
 
 
 def _smallest_value(f: RepTarget) -> int | float:
@@ -249,54 +255,63 @@ def _decompose(
     that A lacks, the union's sums are, as a multiset, the old sums, a + t for
     a in A and t in F, and t + t' for t <= t' in F.
 
-    Each part is one list of sums and one set of them; a stage that passes
-    every check updates the counts with one dict.update per part.  Counters
-    of the parts are built only to name the witness of a failed check."""
+    The cross and self sums are tallied into `sums` once, and the number of
+    keys that gains decides all five uniqueness and disjointness checks.  When
+    one fails, the tally is undone and the checks run one by one, so that each
+    names its smallest witness."""
     els = A.elements
     u = added[0] + added[1] if kind == KIND_EXTENSION else None
     cross = list(chain.from_iterable(map(t.__add__, els) for t in added))
     self_part = list(chain.from_iterable(map(t.__add__, added[i:]) for i, t in enumerate(added)))
-    cross_set, self_set = set(cross), set(self_part)
-    checks: list[CheckResult] = []
-
-    checks.append(_unique_part_check("cross_part_unique", cross, cross_set))
-    checks.append(_unique_part_check("self_part_unique", self_part, self_set))
-    checks.append(_disjoint_check("old_cross_disjoint", sums.keys(), cross_set, exempt=None))
-    checks.append(_disjoint_check("cross_self_disjoint", cross_set, self_set, exempt=None))
-    checks.append(_disjoint_check("old_self_disjoint", sums.keys(), self_set, exempt=u))
-
-    if all(c.passed for c in checks):
-        # a repeated t, or a t already in A, would give 2t twice, so F is
-        # `added` and the union counts 1 on each cross and self sum but u,
-        # which gains one: the piecewise formula holds by arithmetic
-        top = sums.get(u, 0) + 1
-        dict.update(sums, dict.fromkeys(cross_set, 1))
-        dict.update(sums, dict.fromkeys(self_set, 1))
-        if top > 1:
-            sums[u] = top
-        checks.append(_ok("piecewise_formula", None, "piecewise counts match brute force"))
-        return DecompositionReport(kind=kind, checks=tuple(checks)), top
-
+    new = cross + self_part
+    had_u, before, top = u in sums, len(sums), sums.get(u, 0) + 1
+    sums.update(new)
+    # the tally gains one key per new sum, less the repeats among the new sums
+    # and less the distinct new sums that were old ones.  u is a self sum, so
+    # all five checks pass exactly when those two shortfalls add up to had_u.
+    # Then a repeated t, or a t already in A, would give 2t twice, so F is
+    # `added`, the tally is the union's (1 on each new sum but u, which gains
+    # one) and the piecewise formula holds by arithmetic
+    if len(sums) - before == len(new) - had_u:
+        u_exempt = _disjoint_check("old_self_disjoint", set(), set(), exempt=u)
+        return DecompositionReport(kind=kind, checks=(*_PASSED, u_exempt, _PIECEWISE_OK)), top
+    # a check fails: undo the tally, which drops the keys it added, as every
+    # count of A is positive
+    sums -= Counter(new)
+    checks = _part_checks(sums.keys(), cross, self_part, u)
     # the piecewise formula on every cross and self sum: 1 on a new sum, the old
     # count on an old one, one more than that at the covered target; off those
     # sums the formula and the union both give the old count
-    expected = dict.fromkeys(chain(cross, self_part), 1)
+    expected = dict.fromkeys(new, 1)
     for n in expected.keys() & sums.keys():
         expected[n] = sums[n] + (n == u)
 
-    new = sorted(set(added).difference(els))
-    sums.update(chain.from_iterable(map(t.__add__, chain(els, new[i:])) for i, t in enumerate(new)))
+    fresh = sorted(set(added).difference(els))
+    sums.update(chain.from_iterable(map(t.__add__, chain(els, fresh[i:])) for i, t in enumerate(fresh)))
     # one C-level comparison settles a full match, as every cross and self sum
     # is a key of the union's counts; otherwise the per-sum scan names the
     # smallest witness
     if expected.items() <= sums.items():
-        checks.append(_ok("piecewise_formula", None, "piecewise counts match brute force"))
+        checks.append(_PIECEWISE_OK)
     else:
         n = next(n for n in sorted(expected) if sums[n] != expected[n])
         detail = f"rep count at n={n} is {sums[n]}, piecewise formula gives {expected[n]}"
         checks.append(_fail("piecewise_formula", None, n, detail))
     # the union's counts differ from A's only on cross and self sums
     return DecompositionReport(kind=kind, checks=tuple(checks)), max(map(sums.get, expected))
+
+
+def _part_checks(old, cross: list[int], self_part: list[int], u: int | None) -> list[CheckResult]:
+    """The uniqueness checks of the cross and self parts, and the disjointness
+    checks of them and the old sums `old` (a set or key view), u exempt."""
+    cross_set, self_set = set(cross), set(self_part)
+    return [
+        _unique_part_check("cross_part_unique", cross, cross_set),
+        _unique_part_check("self_part_unique", self_part, self_set),
+        _disjoint_check("old_cross_disjoint", old, cross_set, exempt=None),
+        _disjoint_check("cross_self_disjoint", cross_set, self_set, exempt=None),
+        _disjoint_check("old_self_disjoint", old, self_set, exempt=u),
+    ]
 
 
 def _unique_part_check(name: str, part: list[int], distinct: set[int]) -> CheckResult:
@@ -323,6 +338,12 @@ def _disjoint_check(name: str, left, right: set[int], exempt: int | None) -> Che
     if exempt is not None:
         detail += f" besides the covered target {exempt}"
     return _ok(name, None, detail)
+
+
+# the records of a passing stage's checks that do not name u: parts that
+# hold no sums pass them
+_PASSED = tuple(_part_checks(set(), [], [], None)[:4])
+_PIECEWISE_OK = _ok("piecewise_formula", None, "piecewise counts match brute force")
 
 
 def upper_bound_check(A: FiniteBasis, x: int, r: int) -> bool:
@@ -427,13 +448,15 @@ def verify_trace(trace: ConstructionTrace) -> VerificationReport:
     """Full oracle bundle: invariants, per-stage decompositions, exhausted
     equalities, and the pigeonhole bound at every (stage, checkpoint) pair.
 
-    One walk over the stages tallies each pair once: a stage whose nesting
-    check fails, and stage 1, are counted pair by pair; any other stage takes
-    the count its decomposition derives in place from its predecessor's, by
-    dict updates on its cross and self sums when every decomposition check
-    passes.  Counts only grow along a nested chain, so such a stage's largest
-    count is its predecessor's or one on its cross and self sums.  Each
-    (stage, checkpoint) pair counts the stage's elements in [-x, x] once.
+    One walk over the stages tallies each pair once.  Stage 1, and a stage
+    whose nesting check fails, are counted pair by pair; their largest count
+    is 1 when their pairs give distinct sums and is read from the counts
+    otherwise.  Any other stage takes the counts its decomposition derives in
+    place from its predecessor's: the cross and self sums are added to them
+    once, and undone and re-derived only when a decomposition check fails.
+    Counts only grow along a nested chain, so such a stage's largest count is
+    its predecessor's or one on its cross and self sums.  Each (stage,
+    checkpoint) pair counts the stage's elements in [-x, x] once.
     """
     validate_trace_structure(trace)
     bounds = [(x, r) for _, x, _ in trace.checkpoints()
@@ -455,8 +478,7 @@ def verify_trace(trace: ConstructionTrace) -> VerificationReport:
             decompositions.append((s.index, report))
             top = max(top, new_top)
         if prev is None or not nesting.passed:
-            counts = sum_counter(s.set)
-            top = max(counts.values(), default=0)
+            counts, top = _recount(s.set)
         invariants += _stage_invariants(trace, s, nesting, counts, top, floor)
         for x, r in bounds:
             k = counting(s.set, -x, x)

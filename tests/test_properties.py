@@ -2,7 +2,8 @@
 load as a malformed trace or verify into a report whose every failure
 names a witness, a checkpoint of about 10^700 is refused when negative and
 fails the density bar when positive, the union's pair-sum counts that a
-decomposition derives equal a recount, random walks of the Sidon ladder
+decomposition derives equal a recount, decompositions drawn wide match the
+whole-report reference record for record, random walks of the Sidon ladder
 agree with its per-candidate reference, targets and traces survive their
 round trips, and the command line ends with status 0, 1 or 2 on any
 argument list.  Examples are derandomized, so every run tests the same
@@ -22,6 +23,7 @@ from hypothesis import strategies as st  # noqa: E402
 
 from test_sidon import ReferenceLadder, same_state  # noqa: E402
 from test_verify import _reference_decomposition  # noqa: E402
+from test_whole_report import _decomposition as whole_report_decomposition  # noqa: E402
 
 from repbasis import (  # noqa: E402
     INFINITY,
@@ -157,6 +159,8 @@ def test_derived_union_counts_equal_a_recount(case):
     counts = sum_counter(A)
     report, _ = _decompose(A, counts, tuple(sorted(added)), kind)
     assert counts == union
+    # Counter equality ignores keys whose count is 0
+    assert set(counts) == set(union)
     assert check_decomposition(A, added, kind) == report
     checks = {c.condition: c for c in report.checks}
     witnesses, detail = _reference_decomposition(A, added, kind, union)
@@ -164,6 +168,25 @@ def test_derived_union_counts_equal_a_recount(case):
         assert (checks[name].passed, checks[name].witness) == (witness is None, witness)
     if detail is not None:
         assert checks["piecewise_formula"].detail == detail
+
+
+@st.composite
+def wide_decompositions(draw):
+    """A set A and an added list drawn from [-10**6, 10**6], so that most
+    draws pass every check, with a kind that fits the list's length."""
+    wide = st.integers(-(10**6), 10**6)
+    A = FiniteBasis.from_iterable(draw(st.lists(wide, max_size=12)))
+    kind = draw(st.sampled_from((KIND_EXTENSION, KIND_DENSIFICATION)))
+    n = 2 if kind == KIND_EXTENSION else draw(st.integers(1, 6))
+    return A, draw(st.lists(wide, min_size=n, max_size=n)), kind
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(wide_decompositions())
+def test_wide_decompositions_match_the_whole_report_reference(case):
+    A, added, kind = case
+    expected = whole_report_decomposition(A.elements, sorted(added), kind)
+    assert check_decomposition(A, added, kind).to_dict() == expected
 
 
 def test_repeated_added_element_is_tallied_once():

@@ -2,6 +2,7 @@
 
 import math
 import random
+import sys
 from collections import Counter
 from fractions import Fraction
 
@@ -17,6 +18,7 @@ from repbasis import (
     PreconditionViolatedError,
     RepTarget,
     TargetSequence,
+    build,
     counting,
     d0_of,
     density_demand,
@@ -27,7 +29,7 @@ from repbasis import (
     sum_counter,
     target_prefix,
 )
-from repbasis import repcore
+from repbasis import construct, repcore
 from repbasis.repcore import density_out_of_reach, real_sqrt
 
 
@@ -485,6 +487,35 @@ class TestPhiSpec:
             PhiSpec("clog", math.inf)
         with pytest.raises(ValueError, match="bad phi parameter 0.25"):
             PhiSpec("pow", 0.25)
+
+    @pytest.fixture
+    def digit_limit(self):
+        # the interpreter's default limit on int-to-str conversion
+        if not hasattr(sys, "set_int_max_str_digits"):
+            pytest.skip("this interpreter has no limit on int-to-str conversion")
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4300)
+        yield
+        sys.set_int_max_str_digits(limit)
+
+    def test_a_parameter_too_long_to_print_is_refused(self, digit_limit):
+        # 1 + 10**-5000 is inside the float range, but str() would write its
+        # 5001-digit numerator and denominator in full
+        with pytest.raises(ValueError) as refused:
+            PhiSpec("clog", Fraction(10**5000 + 1, 10**5000))
+        assert str(refused.value) == "phi parameter of clog has up to 5001 digits, past the limit of 4300"
+        near = PhiSpec("clog", Fraction(10**4299 + 1, 10**4299))
+        assert str(near).startswith("clog:1" + "0" * 4298 + "1/1")
+
+    def test_build_refuses_a_parameter_too_long_to_print_before_any_scan(self, digit_limit, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("build must not scan")
+
+        monkeypatch.setattr(construct, "_density_search", refuse)
+        # about 0.111, written as a ratio of two 8001-digit integers
+        text = "clog:" + "1" * 4000 + "." + "1" * 4000 + "e-4000"
+        with pytest.raises(ValueError, match="^phi parameter of clog has up to 8001 digits, past the limit of 4300$"):
+            build(RepTarget.constant(1), text, 1)
 
     def test_direct_constructor_validation(self):
         with pytest.raises(ValueError):

@@ -187,6 +187,12 @@ class TestDecomposition:
             ((-4, 4), (-17, 17), KIND_EXTENSION),
             ((), (-9, 9), KIND_EXTENSION),
             ((1, 4), (-20, 25), KIND_EXTENSION),  # the covered target 5 is an old sum
+            # the covered target 5 is an old sum, and cross sums 2 and 8 meet old sums
+            ((1, 4), (-2, 7), KIND_EXTENSION),
+            # the covered target 51 is new but is the cross sum 1 + 50
+            ((1, 10), (1, 50), KIND_EXTENSION),
+            # 100 is already in A; every other sum lies far from the rest
+            ((1, 100, 10**4), (100, 10**6, -(10**7)), KIND_DENSIFICATION),
         ],
     )
     def test_matches_the_per_sum_references(self, A, added, kind):
@@ -202,6 +208,8 @@ class TestDecomposition:
         counts = sum_counter(A)
         _, top = _decompose(A, counts, tuple(sorted(added)), kind)
         assert counts == union
+        # Counter equality ignores keys whose count is 0
+        assert set(counts) == set(union)
         new_sums = [a + t for a in A for t in added]
         new_sums += [s + t for s, t in combinations_with_replacement(sorted(added), 2)]
         assert top == max(counts[n] for n in new_sums)
