@@ -9,10 +9,11 @@ import math
 import os
 import sys
 
-from .construct import build, canonical_json, trace_dumps, trace_loads
+from .construct import build
 from .errors import RepbasisError
 from .repcore import PhiSpec, RepTarget, _json_loads, counting, density_demand, real_sqrt
 from .sidon import erdos_turan_sidon, greedy_sidon, sidon_for_density
+from .trace import canonical_json, trace_dumps, trace_loads
 from .verify import verify_trace
 
 STATS_HEADER = "x,count,demand,ratio,ceiling"

@@ -102,13 +102,15 @@ class RepTarget:
             raise ValueError("default must be an integer >= 1 or INFINITY")
         # 2w + 1 distinct keys, each an integer in [-w, w], cover the window
         # exactly; checked without building the window, which may be huge
-        if len(self.values) != 2 * w + 1 or not all(
-            isinstance(n, int) and not isinstance(n, bool) and -w <= n <= w for n in self.values
-        ):
-            raise ValueError("values must cover exactly the integers with |n| <= window_radius")
+        cover = f"values must cover exactly the integers n with |n| <= window={echo(w)}"
         for n, v in self.values.items():
+            if isinstance(n, bool) or not isinstance(n, int) or not -w <= n <= w:
+                raise ValueError(f"{cover}; key {echo(n)} lies outside")
             if not (v == INFINITY or (isinstance(v, int) and not isinstance(v, bool) and v >= 0)):
                 raise ValueError(f"value at n={n} must be a non-negative integer or INFINITY")
+        if len(self.values) != 2 * w + 1:  # too few keys: name the smallest n missing
+            missing = next(n for n, key in zip(range(-w, w + 1), [*sorted(self.values), None]) if n != key)
+            raise ValueError(f"{cover}; n={missing} is missing")
         object.__setattr__(self, "values", dict(self.values))
 
     @classmethod

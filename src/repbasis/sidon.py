@@ -112,15 +112,20 @@ def _reject_too_large(n: int) -> None:
         raise InputTooLargeError(f"Sidon bound n={n} exceeds {SIDON_N_LIMIT}")
 
 
-def greedy_sidon(n: int) -> SidonSet:
-    """First-fit Sidon set: scan 1..n, keep every value that preserves the
-    distinct-sums property.  Prefix-monotone in n."""
+def _ladder_at(n: int) -> SidonLadder:
+    """A fresh ladder advanced to n; refuses n < 1 and n past SIDON_N_LIMIT."""
     if n < 1:
         raise InputTooSmallError("greedy construction needs n >= 1")
     _reject_too_large(n)
     ladder = SidonLadder()
     ladder.advance(n)
-    return SidonSet(tuple(ladder.greedy_prefix()), n)
+    return ladder
+
+
+def greedy_sidon(n: int) -> SidonSet:
+    """First-fit Sidon set: scan 1..n, keep every value that preserves the
+    distinct-sums property.  Prefix-monotone in n."""
+    return SidonSet(tuple(_ladder_at(n).greedy_prefix()), n)
 
 
 def erdos_turan_sidon(n: int) -> SidonSet:
@@ -138,16 +143,13 @@ def _et_elements(p: int) -> tuple[int, ...]:
 
 
 def sidon_for_density(n: int) -> SidonSet:
-    """The larger of the two constructions, which must beat sqrt(n)/2.
+    """The better construction at n, as a SidonLadder picks it, which must
+    beat sqrt(n)/2.
 
     Raises DensityUnreachableError when even the better set has
     4*|D|**2 <= n, and InputTooLargeError past SIDON_N_LIMIT.
     """
-    best = greedy_sidon(n)
-    if n >= 8:
-        algebraic = erdos_turan_sidon(n)
-        if len(algebraic) > len(best):
-            best = algebraic
+    best = _ladder_at(n).best_elements()
     if not best.density_ok():
         raise DensityUnreachableError(
             f"no known Sidon set in [1, {n}] has more than sqrt(n)/2 elements"
@@ -216,8 +218,7 @@ class SidonLadder:
         return max(self._count, _PRIMES[self._primes - 1] if self._primes else 0)
 
     def best_elements(self) -> SidonSet:
-        """Materialize the better construction (algebraic wins ties only if
-        strictly larger, matching sidon_for_density)."""
+        """Materialize the better construction; the greedy set wins a tie."""
         if (size := self.best_size()) > self._count:
             return SidonSet(_et_elements(size), self._n)
         return SidonSet(_walk[0][: self._count], self._n)

@@ -1,0 +1,241 @@
+"""The construction trace format: its types, its shape rules and its
+canonical text.
+
+A trace is a prescribed function f, a growth spec phi, the target prefix
+u and the stages: stage 1 is the base, then extension (even index) and
+densification (odd index) stages alternate, and exactly the odd-indexed
+stages carry a checkpoint x.  This module is the one place that knows
+that format.  The builder writes traces with it and the verifier reads
+them with it; it imports only `errors` and `repcore`, so the verifier
+runs none of the builder's code.
+"""
+
+from __future__ import annotations
+
+import functools
+import json
+import sys
+from dataclasses import dataclass
+from json.encoder import c_make_encoder, encode_basestring_ascii
+
+from .errors import MalformedTraceError, echo
+from .repcore import FiniteBasis, PhiSpec, RepTarget, _check_keys, _json_loads
+
+KIND_BASE = "BASE"
+KIND_EXTENSION = "TARGET_EXTENSION"
+KIND_DENSIFICATION = "DENSIFICATION"
+
+
+def expected_m_covered(index: int) -> int:
+    # base covers u_1; stages 2l and 2l+1 both certify the first l+1 targets
+    return (index + 2) // 2
+
+
+def expected_kind(index: int) -> str:
+    if index == 1:
+        return KIND_BASE
+    return KIND_EXTENSION if index % 2 == 0 else KIND_DENSIFICATION
+
+
+@dataclass(frozen=True, eq=True)
+class StageRecord:
+    """One stage of a construction: the set after the move, what was added,
+    and the density checkpoint when the stage certifies one."""
+
+    index: int
+    kind: str
+    set: FiniteBasis
+    added: FiniteBasis
+    x: int | None = None
+
+    @property
+    def m_covered(self) -> int:
+        """How many leading targets the stage certifies, fixed by its index."""
+        return expected_m_covered(self.index)
+
+
+@dataclass(frozen=True, eq=True)
+class ConstructionTrace:
+    f: RepTarget
+    phi: PhiSpec
+    u_prefix: tuple[int, ...]
+    stages: tuple[StageRecord, ...]
+
+    def final_set(self) -> FiniteBasis:
+        return self.stages[-1].set
+
+    def checkpoints(self) -> list[tuple[int, int, FiniteBasis]]:
+        """(stage index, x, stage set) for every stage that records an x."""
+        return [(s.index, s.x, s.set) for s in self.stages if s.x is not None]
+
+
+
+def validate_trace_structure(trace: ConstructionTrace) -> None:
+    """Shape rules every trace object must satisfy before semantic checks.
+
+    Raises MalformedTraceError; semantic violations (densities, coverage,
+    nesting) are the verify module's job and come back as report entries.
+    """
+    stages = trace.stages
+    if not stages:
+        raise MalformedTraceError("trace has no stages")
+    if len(stages) % 2 == 0:
+        raise MalformedTraceError("trace must end on a checkpoint stage (odd stage count)")
+    for pos, s in enumerate(stages, start=1):
+        if s.index != pos:
+            raise MalformedTraceError(f"stage at position {pos} carries index {echo(s.index)}")
+        if s.kind != expected_kind(pos):
+            raise MalformedTraceError(
+                f"stage {pos} kind {echo(s.kind)} does not match position (want {expected_kind(pos)!r})"
+            )
+        if (s.x is not None) != (pos % 2 == 1):
+            raise MalformedTraceError(f"stage {pos} must carry x exactly when its index is odd")
+        if s.x is not None and s.x < 1:
+            raise MalformedTraceError(f"stage {pos} checkpoint x must be positive, got {echo(s.x)}")
+    want_targets = (len(stages) + 1) // 2
+    if len(trace.u_prefix) != want_targets:
+        raise MalformedTraceError(
+            f"u_prefix length {len(trace.u_prefix)} does not match stage count "
+            f"(want {want_targets})"
+        )
+
+
+def trace_to_dict(trace: ConstructionTrace) -> dict:
+    stages = []
+    for s in trace.stages:
+        entry: dict = {
+            "index": s.index,
+            "kind": s.kind,
+            "set": list(s.set),
+            "added": list(s.added),
+        }
+        if s.x is not None:
+            entry["x"] = s.x
+        stages.append(entry)
+    return {
+        "f": trace.f.to_dict(),
+        "phi": str(trace.phi),
+        "u_prefix": list(trace.u_prefix),
+        "stages": stages,
+    }
+
+
+# Before Python 3.13, json.dumps with an indent runs the pure-Python encoder,
+# so there canonical_json hands each container of scalars to the C encoder
+# itself; an interpreter without the C encoder has only json.dumps.
+_INDENT_IN_C = sys.version_info >= (3, 13) or c_make_encoder is None
+_SCALAR_TYPES = frozenset((str, int, float, bool, type(None)))
+
+
+@functools.cache
+def _flat_encoder(newline_indent: str):
+    """The C encoder with sorted keys, writing each item of one container
+    on its own line after newline_indent."""
+    return c_make_encoder(None, json.JSONEncoder().default, encode_basestring_ascii,
+                          None, ": ", "," + newline_indent, True, False, True)
+
+
+def _canonical_parts(obj, newline_indent: str, parts: list) -> None:
+    """Append obj's canonical text to parts; newline_indent starts the line
+    of obj's closing bracket."""
+    is_dict = isinstance(obj, dict)
+    if not obj or not (is_dict or isinstance(obj, (list, tuple))):
+        parts += _flat_encoder(newline_indent)(obj, 0)  # a scalar or an empty container
+        return
+    inner = newline_indent + "  "
+    if _SCALAR_TYPES.issuperset(map(type, obj.values() if is_dict else obj)):
+        text = "".join(_flat_encoder(inner)(obj, 0))
+        parts += (text[0], inner, text[1:-1], newline_indent, text[-1])
+        return
+    parts.append("{" if is_dict else "[")
+    for i, item in enumerate(sorted(obj.items()) if is_dict else obj):
+        parts.append("," + inner if i else inner)
+        if is_dict:
+            parts += (encode_basestring_ascii(item[0]), ": ")
+            item = item[1]
+        _canonical_parts(item, inner, parts)
+    parts += (newline_indent, "}" if is_dict else "]")
+
+
+def canonical_json(obj) -> str:
+    """The canonical text of a JSON document whose keys are all strings:
+    byte for byte json.dumps(obj, sort_keys=True, indent=2) plus one newline.
+    A raw newline never occurs inside an encoded string, so writing each
+    container of scalars with the C encoder changes no byte."""
+    if _INDENT_IN_C:
+        return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    parts: list[str] = []
+    _canonical_parts(obj, "\n", parts)
+    parts.append("\n")
+    return "".join(parts)
+
+
+def trace_dumps(trace: ConstructionTrace) -> str:
+    """Canonical text form: sorted keys, two-space indent, one trailing
+    newline.  Identical traces serialize to identical bytes."""
+    return canonical_json(trace_to_dict(trace))
+
+
+def _require_int(value, what: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise MalformedTraceError(f"{what} must be an integer, got {echo(value)}")
+    return value
+
+
+def _int_list(raw, what: str) -> list[int]:
+    if not isinstance(raw, list):
+        raise MalformedTraceError(f"{what} must be a list")
+    if not {int}.issuperset(map(type, raw)):  # one C-level pass; walk only to name the offender
+        for v in raw:
+            _require_int(v, f"{what} entry")
+    return raw
+
+
+def _strict_basis(raw, what: str) -> FiniteBasis:
+    if isinstance(raw, list):
+        try:  # FiniteBasis makes the one type pass and the order pass
+            return FiniteBasis(tuple(raw))
+        except ValueError:
+            pass
+    _int_list(raw, what)  # names a non-list or the first non-integer entry
+    raise MalformedTraceError(f"{what} must be strictly increasing")
+
+
+def trace_from_dict(data) -> ConstructionTrace:
+    """Parse and structurally validate the canonical trace mapping."""
+    _check_keys(data, {"f", "phi", "u_prefix", "stages"}, what="trace", error=MalformedTraceError)
+    try:
+        f = RepTarget.from_dict(data["f"])
+    except ValueError as exc:
+        raise MalformedTraceError(f"bad target function: {exc}") from None
+    try:
+        phi = PhiSpec.parse(data["phi"])
+    except ValueError as exc:
+        raise MalformedTraceError(f"bad phi: {exc}") from None
+    u_prefix = tuple(_int_list(data["u_prefix"], "u_prefix"))
+    if not isinstance(data["stages"], list):
+        raise MalformedTraceError("stages must be a list")
+    stages = []
+    for pos, raw in enumerate(data["stages"], start=1):
+        _check_keys(raw, {"index", "kind", "set", "added"}, ("x",), what=f"stage {pos}",
+                    error=MalformedTraceError)
+        stages.append(
+            StageRecord(
+                index=_require_int(raw["index"], f"stage {pos} index"),
+                kind=raw["kind"],
+                set=_strict_basis(raw["set"], f"stage {pos} set"),
+                added=_strict_basis(raw["added"], f"stage {pos} added"),
+                x=_require_int(raw["x"], f"stage {pos} x") if "x" in raw else None,
+            )
+        )
+    trace = ConstructionTrace(f=f, phi=phi, u_prefix=u_prefix, stages=tuple(stages))
+    validate_trace_structure(trace)
+    return trace
+
+
+def trace_loads(text: str) -> ConstructionTrace:
+    try:  # bad syntax, a duplicate key, an over-long integer or too deep nesting
+        data = _json_loads(text)
+    except ValueError as exc:
+        raise MalformedTraceError(f"trace is not valid JSON: {exc}") from None
+    return trace_from_dict(data)

@@ -3,7 +3,9 @@
 Nothing here reuses the construction's intermediate quantities (c, d, T,
 or the Sidon set).  Each check re-derives its verdict from the stage
 sets, the checkpoints, and the prescribed function alone, so agreement
-with the builder is evidence rather than tautology.
+with the builder is evidence rather than tautology.  The module imports
+only `errors`, `repcore` and `trace`, so a verdict runs none of the
+builder's code (`construct`, `sidon`).
 """
 
 from __future__ import annotations
@@ -12,14 +14,6 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import chain
 
-from .construct import (
-    KIND_BASE,
-    KIND_DENSIFICATION,
-    KIND_EXTENSION,
-    ConstructionTrace,
-    StageRecord,
-    validate_trace_structure,
-)
 from .errors import MalformedTraceError, PreconditionViolatedError, echo
 from .repcore import (
     FiniteBasis,
@@ -32,6 +26,14 @@ from .repcore import (
     rep_function,
     sum_counter,
     target_prefix,
+)
+from .trace import (
+    KIND_BASE,
+    KIND_DENSIFICATION,
+    KIND_EXTENSION,
+    ConstructionTrace,
+    StageRecord,
+    validate_trace_structure,
 )
 
 # condition names, numbered as the stage invariants they certify

@@ -27,7 +27,8 @@ def test_compare_prints_medians_ratios_and_line_counts(tmp_path, capsys):
                   src_lines={"parent": 1900, "change": 1880})
     new = _record(tmp_path / "new.json", "bbb", {"matrix": 0.25, "verify_large": 1.0},
                   src_lines={"parent": 1880, "change": 1850},
-                  src_code_lines={"parent": 1300, "change": 1280})
+                  src_code_lines={"parent": 1300, "change": 1280},
+                  verifier_code_lines={"parent": 1086, "change": 798})
     assert bench_record.main(["--compare", old, new]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert lines == [
@@ -36,6 +37,25 @@ def test_compare_prints_medians_ratios_and_line_counts(tmp_path, capsys):
         "matrix slowest_op_s 0.25 0.25 1.0000",
         "matrix setup_s 0.125 0.125 1.0000",
         "matrix peak_rss_mb 20 20 1.0000",
-        f"{old}: change aaa src_lines 1880 src_code_lines n/a",
-        f"{new}: change bbb src_lines 1850 src_code_lines 1280",
+        f"{old}: change aaa src_lines 1880 src_code_lines n/a verifier_code_lines n/a",
+        f"{new}: change bbb src_lines 1850 src_code_lines 1280 verifier_code_lines 798",
     ]
+
+
+PACKAGE = {
+    "__init__.py": "from .verify import check\nfrom .builder import build\n",
+    "verify.py": '"""Checks."""\n\nfrom .trace import load\n\n\ndef check():\n    return load()\n',
+    "trace.py": "# the format\nfrom .errors import Bad\n\n\ndef load():\n    from . import errors\n    return errors\n",
+    "errors.py": 'class Bad(Exception):\n    """A refusal."""\n',
+    "builder.py": "from .trace import load\nbuild = load\n",
+}
+
+
+def test_verifier_code_lines_follow_the_imports_of_verify(tmp_path):
+    package = tmp_path / "src" / "repbasis"
+    package.mkdir(parents=True)
+    for name, text in PACKAGE.items():
+        (package / name).write_text(text)
+    # verify 3, trace 4, errors 1; neither __init__ nor builder is reached
+    assert bench_record.verifier_code_lines(tmp_path) == 8
+    assert bench_record.src_code_lines(tmp_path) == 8 + 2 + 2

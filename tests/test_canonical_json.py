@@ -19,11 +19,11 @@ from hypothesis import strategies as st  # noqa: E402
 from test_whole_report import CORPUS, EDITS  # noqa: E402
 
 from repbasis import MalformedTraceError, trace_dumps, trace_from_dict, trace_to_dict, verify_trace  # noqa: E402
-from repbasis import construct  # noqa: E402
-from repbasis.construct import canonical_json  # noqa: E402
+from repbasis import trace as trace_module  # noqa: E402
+from repbasis.trace import canonical_json  # noqa: E402
 
 # the per-level writer needs CPython's C encoder
-PATHS = [True] + ([False] if construct.c_make_encoder is not None else [])
+PATHS = [True] + ([False] if trace_module.c_make_encoder is not None else [])
 
 
 class Int(int):
@@ -43,7 +43,7 @@ def both_paths(obj) -> list[str]:
     texts = []
     for in_c in PATHS:
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(construct, "_INDENT_IN_C", in_c)
+            patch.setattr(trace_module, "_INDENT_IN_C", in_c)
             texts.append(canonical_json(obj))
     return texts
 

@@ -157,6 +157,26 @@ class TestBuild:
         assert result.returncode == 1
         assert result.stderr.startswith("ERROR:")
 
+    @pytest.mark.parametrize(
+        "values, window, witness",
+        [
+            ({}, 0, "n=0 is missing"),
+            ({"-2": 1, "-1": 1, "1": 1, "2": 1}, 2, "n=0 is missing"),
+            ({"0": 1}, 10**9, "n=-1000000000 is missing"),
+            ({"0": 1, "1": 1, "5": 1}, 1, "key 5 lies outside"),
+        ],
+        ids=["empty", "gap", "huge_window", "outside"],
+    )
+    def test_window_mismatch_names_window_and_witness(self, tmp_path, values, window, witness):
+        path = tmp_path / "f.json"
+        path.write_text(json.dumps({"window": window, "values": values, "default": 2}))
+        result = run_cli("build", "--f", str(path), "--phi", "log2", "--stages", "1",
+                         timeout=60)
+        assert result.returncode == 1
+        assert result.stdout == ""
+        assert result.stderr == (f"ERROR: values must cover exactly the integers n with "
+                                 f"|n| <= window={window}; {witness}\n")
+
     def test_hopeless_phi_aborts_at_default_cap(self, ones_file):
         # Lindström's bound rules out every x up to 10**9 before any scan
         result = run_cli("build", "--f", str(ones_file), "--phi", "clog:1/100",

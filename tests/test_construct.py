@@ -33,15 +33,10 @@ from repbasis import (
     trace_to_dict,
 )
 from repbasis import construct
-from repbasis.construct import (
-    _density_search,
-    _lindstrom_last,
-    _reject_bad_pair_counts,
-    expected_kind,
-    expected_m_covered,
-)
+from repbasis.construct import _density_search, _lindstrom_last, _reject_bad_pair_counts
 from repbasis.repcore import density_demand, density_exceeds, sum_counter
 from repbasis.sidon import SidonLadder
+from repbasis.trace import expected_kind, expected_m_covered
 
 F_ONES = RepTarget.constant(1)
 F_TWOS = RepTarget.constant(2)

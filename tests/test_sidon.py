@@ -282,8 +282,7 @@ class TestSidonForDensity:
 
     def test_unreachable_density(self, monkeypatch):
         tiny = SidonSet((1,), 100)
-        monkeypatch.setattr(sidon_mod, "greedy_sidon", lambda n: tiny)
-        monkeypatch.setattr(sidon_mod, "erdos_turan_sidon", lambda n: tiny)
+        monkeypatch.setattr(sidon_mod.SidonLadder, "best_elements", lambda self: tiny)
         with pytest.raises(DensityUnreachableError):
             sidon_mod.sidon_for_density(100)
 

@@ -35,7 +35,7 @@ from repbasis import (  # noqa: E402
     trace_to_dict,
     verify_trace,
 )
-from repbasis.construct import validate_trace_structure  # noqa: E402
+from repbasis.trace import validate_trace_structure  # noqa: E402
 
 # the benchmark's generator of deep valid traces (f = 1, phi = pow:9/20)
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))

@@ -19,6 +19,8 @@ Python version.  src_lines counts every line; src_code_lines counts only the
 lines that hold a token other than a comment or a docstring, read with
 tokenize.  A change that deletes comments or docstrings shortens the first
 count without making the code simpler, and only the second shows that.
+verifier_code_lines counts code lines the same way over verify.py and the
+package modules it imports, directly or not: the code a verdict runs.
 --compare reads two such records and prints, for every workload both hold
 and every end-to-end metric, the two `change` medians and their ratio
 (second over first), then each record's `change` revision and line counts,
@@ -29,6 +31,7 @@ Standard library only.
 from __future__ import annotations
 
 import argparse
+import ast
 import io
 import json
 import platform
@@ -67,21 +70,39 @@ _LAYOUT = {tokenize.COMMENT, tokenize.NL, tokenize.INDENT, tokenize.DEDENT,
            tokenize.ENCODING, tokenize.ENDMARKER}
 
 
+def code_lines(path: Path) -> int:
+    """The lines of one file that hold code: blank lines, comments and
+    docstrings (a statement that is one string) do not count."""
+    with path.open("rb") as handle:
+        tokens = [t for t in tokenize.tokenize(handle.readline) if t.type not in _LAYOUT]
+    lines = set()
+    for i, tok in enumerate(tokens):
+        docstring = (tok.type == tokenize.STRING and tokens[i + 1].type == tokenize.NEWLINE
+                     and (i == 0 or tokens[i - 1].type == tokenize.NEWLINE))
+        if tok.type != tokenize.NEWLINE and not docstring:
+            lines.update(range(tok.start[0], tok.end[0] + 1))
+    return len(lines)
+
+
 def src_code_lines(checkout: Path) -> int:
-    """The lines of src/ that hold code: blank lines, comments and docstrings
-    (a statement that is one string) do not count."""
-    total = 0
-    for path in (checkout / "src").rglob("*.py"):
-        with path.open("rb") as handle:
-            tokens = [t for t in tokenize.tokenize(handle.readline) if t.type not in _LAYOUT]
-        lines = set()
-        for i, tok in enumerate(tokens):
-            docstring = (tok.type == tokenize.STRING and tokens[i + 1].type == tokenize.NEWLINE
-                         and (i == 0 or tokens[i - 1].type == tokenize.NEWLINE))
-            if tok.type != tokenize.NEWLINE and not docstring:
-                lines.update(range(tok.start[0], tok.end[0] + 1))
-        total += len(lines)
-    return total
+    return sum(code_lines(path) for path in (checkout / "src").rglob("*.py"))
+
+
+def verifier_code_lines(checkout: Path) -> int:
+    """The code lines of verify.py and of every package module it imports,
+    directly or through another, read with ast; the package's __init__,
+    which loads every module, is not followed."""
+    package = checkout / "src" / "repbasis"
+    closure, todo = set(), ["verify"]
+    while todo:
+        name = todo.pop()
+        if name in closure:
+            continue
+        closure.add(name)
+        for node in ast.walk(ast.parse((package / f"{name}.py").read_text())):
+            if isinstance(node, ast.ImportFrom) and node.level:
+                todo += [node.module] if node.module else [a.name for a in node.names]
+    return sum(code_lines(package / f"{name}.py") for name in closure)
 
 
 def run_seconds(checkout: Path) -> float:
@@ -160,8 +181,9 @@ def compare(paths: list[str]) -> str:
             lines.append(f"{w} {name} {first:.6g} {second:.6g} {second / first:.4f}")
     for path, record in zip(paths, records):
         fields = [record.get(k, {}).get("change", "n/a")
-                  for k in ("revisions", "src_lines", "src_code_lines")]
-        lines.append(f"{path}: change {fields[0]} src_lines {fields[1]} src_code_lines {fields[2]}")
+                  for k in ("revisions", "src_lines", "src_code_lines", "verifier_code_lines")]
+        lines.append(f"{path}: change {fields[0]} src_lines {fields[1]} src_code_lines {fields[2]}"
+                     f" verifier_code_lines {fields[3]}")
     return "\n".join(lines) + "\n"
 
 
@@ -184,17 +206,19 @@ def main(argv=None) -> int:
     plan = dict(item.split("=") for item in args.workload or [f"{w}=3" for w in WORKLOADS])
 
     with tempfile.TemporaryDirectory() as tmp:
-        revisions, sides, lines, code_lines, seconds = {}, {}, {}, {}, {}
+        revisions, sides, lines, src_code, verifier_code, seconds = {}, {}, {}, {}, {}, {}
         for side in ("parent", "change"):
             revisions[side], sides[side] = export(getattr(args, side), Path(tmp))
             lines[side] = src_lines(sides[side])
-            code_lines[side] = src_code_lines(sides[side])
+            src_code[side] = src_code_lines(sides[side])
+            verifier_code[side] = verifier_code_lines(sides[side])
             seconds[side] = run_seconds(sides[side])
         record = {
             "python": platform.python_version(),
             "revisions": revisions,
             "src_lines": lines,
-            "src_code_lines": code_lines,
+            "src_code_lines": src_code,
+            "verifier_code_lines": verifier_code,
             "run_seconds": seconds,
             "command": "python3 bench/run.py --workload W --seed S --trace 0",
             "traced_command": "python3 bench/run.py --workload W --seed 1 --trace 1",
