@@ -31,7 +31,7 @@ from .repcore import (
     target_prefix,
 )
 from .sidon import SidonLadder, SidonSet
-from .trace import KIND_BASE, KIND_DENSIFICATION, KIND_EXTENSION, ConstructionTrace, StageRecord
+from .trace import ConstructionTrace, StageRecord
 # bench/tracing.py wraps these two by their old home, construct; the line goes
 # once the tracer looks them up in trace
 from .trace import trace_dumps, trace_loads  # noqa: F401
@@ -61,6 +61,11 @@ def _as_phi(phi: PhiSpec | str) -> PhiSpec:
     if not isinstance(phi, PhiSpec):
         raise TypeError(f"phi must be a PhiSpec or a spec string, got {type(phi).__name__}")
     return phi
+
+
+def _require_type(value, cls: type, name: str) -> None:
+    if not isinstance(value, cls):
+        raise TypeError(f"{name} must be a {cls.__name__}, got {type(value).__name__}")
 
 
 def _reject_bad_pair_counts(A: FiniteBasis, f: RepTarget, context: str) -> Counter:
@@ -143,6 +148,7 @@ def base_case(
     Scans n = 1, 2, ... and keeps the first stage whose element count in
     [-x, x], x = 3*alpha*n, strictly beats sqrt(x)/phi(x).
     """
+    _require_type(f, RepTarget, "f")
     phi = _as_phi(phi)
     cap = resolve_search_cap(search_cap)
     u1 = target_prefix(f, 1)[0]
@@ -154,7 +160,7 @@ def base_case(
     A1 = FiniteBasis.from_iterable([scale * d for d in D] + [-c, c + u1])
     # the dilation spreads D past both tag elements, so nothing collides
     assert len(A1) == len(D) + 2 and counting(A1, -x, x) == len(A1)
-    return StageRecord(index=1, kind=KIND_BASE, set=A1, added=A1, x=x)
+    return StageRecord(index=1, set=A1, added=A1, x=x)
 
 
 def _extension_pair(A: FiniteBasis, f: RepTarget, prefix) -> tuple[int, ...]:
@@ -191,8 +197,10 @@ def extend_target(A: FiniteBasis, f: RepTarget, u: TargetSequence, m: int) -> Fi
     offending integer as witness.  When u_{m+1} is already covered the
     set is returned unchanged.
     """
-    if m < 0:
-        raise ValueError("m must be >= 0")
+    _require_type(f, RepTarget, "f")
+    _require_type(u, TargetSequence, "u")
+    if isinstance(m, bool) or not isinstance(m, int) or m < 0:
+        raise ValueError(f"m must be an integer >= 0, got {echo(m)}")
     prefix = u.prefix(m + 1)
     _reject_zero_member(A, "extension")
     counts = _reject_bad_pair_counts(A, f, "extension")
@@ -223,10 +231,11 @@ def densify(
     whose counted density clears the bar is kept.  Requires that A never
     exceeds f and omits 0.  Returns (B, x).
     """
+    _require_type(f, RepTarget, "f")
     phi = _as_phi(phi)
     cap = resolve_search_cap(search_cap)
-    if M < 1:
-        raise PreconditionViolatedError(f"densification: M must be >= 1, got {M}")
+    if isinstance(M, bool) or not isinstance(M, int) or M < 1:
+        raise PreconditionViolatedError(f"densification: M must be an integer >= 1, got {echo(M)}")
     _reject_zero_member(A, "densification")
     _reject_bad_pair_counts(A, f, "densification")
     D, x = _dilated_sidon(A, f, phi, M, cap)
@@ -252,6 +261,7 @@ def build(
     """
     if not isinstance(L, int) or isinstance(L, bool) or L < 1:
         raise ValueError(f"stage count L must be an integer >= 1, got {echo(L)}")
+    _require_type(f, RepTarget, "f")
     phi = _as_phi(phi)
     cap = resolve_search_cap(search_cap)
     u_prefix = tuple(target_prefix(f, L + 1))
@@ -260,7 +270,7 @@ def build(
         previous = stages[-1]
         pair = FiniteBasis.from_iterable(_extension_pair(previous.set, f, u_prefix[: l + 1]))
         extended = previous.set.union(pair)
-        stages.append(StageRecord(2 * l, KIND_EXTENSION, extended, pair))
+        stages.append(StageRecord(2 * l, extended, pair))
         D, x = _dilated_sidon(extended, f, phi, previous.x, cap)
-        stages.append(StageRecord(2 * l + 1, KIND_DENSIFICATION, extended.union(D), D, x))
+        stages.append(StageRecord(2 * l + 1, extended.union(D), D, x))
     return ConstructionTrace(f=f, phi=phi, u_prefix=u_prefix, stages=tuple(stages))

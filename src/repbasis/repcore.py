@@ -295,8 +295,8 @@ class TargetSequence:
 
     def prefix(self, m: int) -> list[int]:
         """The first m terms (m >= 0)."""
-        if m < 0:
-            raise ValueError("prefix length must be non-negative")
+        if isinstance(m, bool) or not isinstance(m, int) or m < 0:
+            raise ValueError(f"prefix length must be a non-negative integer, got {echo(m)}")
         while len(self._emitted) < m:
             self._advance_round()
         return self._emitted[:m]
@@ -324,6 +324,9 @@ class PhiSpec:
     def __post_init__(self):
         if self.kind not in _PHI_KINDS:
             raise ValueError(f"unknown phi kind {echo(self.kind)}")
+        if self.parameter is not None:
+            if isinstance(self.parameter, bool) or not isinstance(self.parameter, (int, Fraction)):
+                raise ValueError(f"bad phi parameter {echo(self.parameter)}")
         if self.kind in ("log2", "ln"):
             if self.parameter is not None:
                 raise ValueError(f"phi kind {self.kind!r} takes no parameter")
@@ -334,8 +337,6 @@ class PhiSpec:
             if self.parameter is None or self.parameter <= 0:
                 raise ValueError("clog coefficient must be positive")
         if self.parameter is not None:
-            if isinstance(self.parameter, bool) or not isinstance(self.parameter, (int, Fraction)):
-                raise ValueError(f"bad phi parameter {echo(self.parameter)}")
             # phi is evaluated in floats, so the parameter must be one; it is
             # named by its power of ten, as its digits may be too many to print
             try:

@@ -12,7 +12,7 @@ import threading
 from dataclasses import dataclass
 from typing import Iterable
 
-from .errors import DensityUnreachableError, InputTooLargeError, InputTooSmallError
+from .errors import DensityUnreachableError, InputTooLargeError, InputTooSmallError, echo
 from .repcore import FiniteBasis
 
 # Largest ambient bound the constructions accept: the shared greedy walk's
@@ -107,16 +107,19 @@ def _admitted_primes(n: int, known: int = 0) -> int:
     return known
 
 
-def _reject_too_large(n: int) -> None:
+def _check_bound(n: int, least: int, construction: str) -> None:
+    """Refuse an n that is not an integer, below least or past SIDON_N_LIMIT."""
+    if isinstance(n, bool) or not isinstance(n, int):
+        raise ValueError(f"Sidon bound n must be an integer, got {echo(n)}")
+    if n < least:
+        raise InputTooSmallError(f"{construction} construction needs n >= {least}")
     if n > SIDON_N_LIMIT:
         raise InputTooLargeError(f"Sidon bound n={n} exceeds {SIDON_N_LIMIT}")
 
 
 def _ladder_at(n: int) -> SidonLadder:
     """A fresh ladder advanced to n; refuses n < 1 and n past SIDON_N_LIMIT."""
-    if n < 1:
-        raise InputTooSmallError("greedy construction needs n >= 1")
-    _reject_too_large(n)
+    _check_bound(n, 1, "greedy")
     ladder = SidonLadder()
     ladder.advance(n)
     return ladder
@@ -131,9 +134,7 @@ def greedy_sidon(n: int) -> SidonSet:
 def erdos_turan_sidon(n: int) -> SidonSet:
     """Sidon set {2pk + (k*k mod p) + 1 : 0 <= k < p} for the largest prime
     p with 2*p*p <= n.  Needs n >= 8 so that p = 2 is admissible."""
-    if n < 8:
-        raise InputTooSmallError("algebraic construction needs n >= 8")
-    _reject_too_large(n)
+    _check_bound(n, 8, "algebraic")
     return SidonSet(_et_elements(_PRIMES[_admitted_primes(n) - 1]), n)
 
 

@@ -3,11 +3,15 @@ canonical text.
 
 A trace is a prescribed function f, a growth spec phi, the target prefix
 u and the stages: stage 1 is the base, then extension (even index) and
-densification (odd index) stages alternate, and exactly the odd-indexed
-stages carry a checkpoint x.  This module is the one place that knows
-that format.  The builder writes traces with it and the verifier reads
-them with it; it imports only `errors` and `repcore`, so the verifier
-runs none of the builder's code.
+densification (odd index) stages alternate, exactly the odd-indexed
+stages carry a checkpoint x, and an extension adds one pair or nothing.
+A stage's kind and how many targets it certifies follow from its index
+and are not stored; the loader checks the kind the file writes.  This
+module is the one place that knows that format and states its shape
+rules, so every reader of a trace refuses the same shapes.  The builder
+writes traces with it and the verifier reads them with it; it imports
+only `errors` and `repcore`, so the verifier runs none of the builder's
+code.
 """
 
 from __future__ import annotations
@@ -43,10 +47,14 @@ class StageRecord:
     and the density checkpoint when the stage certifies one."""
 
     index: int
-    kind: str
     set: FiniteBasis
     added: FiniteBasis
     x: int | None = None
+
+    @property
+    def kind(self) -> str:
+        """The stage's move, fixed by its index."""
+        return expected_kind(self.index)
 
     @property
     def m_covered(self) -> int:
@@ -84,15 +92,14 @@ def validate_trace_structure(trace: ConstructionTrace) -> None:
     for pos, s in enumerate(stages, start=1):
         if s.index != pos:
             raise MalformedTraceError(f"stage at position {pos} carries index {echo(s.index)}")
-        if s.kind != expected_kind(pos):
-            raise MalformedTraceError(
-                f"stage {pos} kind {echo(s.kind)} does not match position (want {expected_kind(pos)!r})"
-            )
+        if pos % 2 == 0 and len(s.added) not in (0, 2):
+            # an extension adjoins one pair, or nothing when its target was covered
+            raise MalformedTraceError(f"extension stage {pos} must add 0 or 2 elements, got {len(s.added)}")
         if (s.x is not None) != (pos % 2 == 1):
             raise MalformedTraceError(f"stage {pos} must carry x exactly when its index is odd")
         if s.x is not None and s.x < 1:
             raise MalformedTraceError(f"stage {pos} checkpoint x must be positive, got {echo(s.x)}")
-    want_targets = (len(stages) + 1) // 2
+    want_targets = expected_m_covered(len(stages))
     if len(trace.u_prefix) != want_targets:
         raise MalformedTraceError(
             f"u_prefix length {len(trace.u_prefix)} does not match stage count "
@@ -219,10 +226,13 @@ def trace_from_dict(data) -> ConstructionTrace:
     for pos, raw in enumerate(data["stages"], start=1):
         _check_keys(raw, {"index", "kind", "set", "added"}, ("x",), what=f"stage {pos}",
                     error=MalformedTraceError)
+        if raw["kind"] != expected_kind(pos):
+            raise MalformedTraceError(
+                f"stage {pos} kind {echo(raw['kind'])} does not match position (want {expected_kind(pos)!r})"
+            )
         stages.append(
             StageRecord(
                 index=_require_int(raw["index"], f"stage {pos} index"),
-                kind=raw["kind"],
                 set=_strict_basis(raw["set"], f"stage {pos} set"),
                 added=_strict_basis(raw["added"], f"stage {pos} added"),
                 x=_require_int(raw["x"], f"stage {pos} x") if "x" in raw else None,

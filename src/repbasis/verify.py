@@ -14,7 +14,7 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import chain
 
-from .errors import MalformedTraceError, PreconditionViolatedError, echo
+from .errors import PreconditionViolatedError, echo
 from .repcore import (
     FiniteBasis,
     RepTarget,
@@ -99,9 +99,9 @@ def _fail(condition: str, stage: int | None, witness: int | None, detail: str) -
 def check_invariants(trace: ConstructionTrace) -> InvariantReport:
     """Re-verify the four per-stage invariants plus trace-global coherence.
 
-    Structural defects (bad indices, misplaced checkpoints) raise
-    MalformedTraceError; semantic violations come back as failed entries
-    with a concrete integer witness.
+    Structural defects (bad indices, misplaced checkpoints, an extension
+    that adds neither 0 nor 2 elements) raise MalformedTraceError; semantic
+    violations come back as failed entries with a concrete integer witness.
     """
     validate_trace_structure(trace)
     floor = _smallest_value(trace.f)
@@ -459,6 +459,9 @@ def verify_trace(trace: ConstructionTrace) -> VerificationReport:
     Counts only grow along a nested chain, so such a stage's largest count is
     its predecessor's or one on its cross and self sums.  Each (stage,
     checkpoint) pair counts the stage's elements in [-x, x] once.
+
+    A shape defect, such as an extension stage that adds neither 0 nor 2
+    elements, raises MalformedTraceError from validate_trace_structure.
     """
     validate_trace_structure(trace)
     bounds = [(x, r) for _, x, _ in trace.checkpoints()
@@ -469,11 +472,6 @@ def verify_trace(trace: ConstructionTrace) -> VerificationReport:
     upper_bounds: list[CheckResult] = []
     prev = counts = None
     for s in trace.stages:
-        if s.kind == KIND_EXTENSION and len(s.added) not in (0, 2):
-            # an extension adjoins one pair, or nothing when its target was covered
-            raise MalformedTraceError(
-                f"extension stage {s.index} must add 0 or 2 elements, got {len(s.added)}"
-            )
         nesting = _nesting_check(s, prev)
         if s.kind != KIND_BASE and len(s.added) > 0:
             report, new_top = _decompose(prev, counts, s.added.elements, s.kind)

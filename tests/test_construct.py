@@ -173,6 +173,36 @@ class TestDensify:
         assert err.value.cap == 5
 
 
+class TestArgumentTypes:
+    """A public move refuses an argument of the wrong type with the error its
+    range check raises, or a TypeError naming the type, and never takes a
+    bool or float as an integer."""
+
+    @pytest.mark.parametrize("M", [1.5, True])
+    def test_densify_checkpoint_bound_must_be_an_integer(self, M):
+        with pytest.raises(PreconditionViolatedError, match=f"M must be an integer >= 1, got {M}"):
+            densify(FiniteBasis((-4, 5)), F_ONES, "pow:2/5", M)
+
+    @pytest.mark.parametrize("m", [True, 1.5])
+    def test_extend_target_count_must_be_an_integer(self, m):
+        with pytest.raises(ValueError, match=f"m must be an integer >= 0, got {m}"):
+            extend_target(FiniteBasis((1, 2)), F_ONES, TargetSequence(F_ONES), m=m)
+
+    @pytest.mark.parametrize("call", [
+        lambda f: build(f, LOG2, 1),
+        lambda f: base_case(f, LOG2),
+        lambda f: extend_target(FiniteBasis((1, 2)), f, TargetSequence(F_ONES), 0),
+        lambda f: densify(FiniteBasis((1, 2)), f, LOG2, 1),
+    ], ids=["build", "base_case", "extend_target", "densify"])
+    def test_target_function_must_be_a_rep_target(self, call):
+        with pytest.raises(TypeError, match="^f must be a RepTarget, got dict$"):
+            call({"window": 0, "values": {"0": 1}, "default": 1})
+
+    def test_extend_target_sequence_must_be_a_target_sequence(self):
+        with pytest.raises(TypeError, match="^u must be a TargetSequence, got list$"):
+            extend_target(FiniteBasis((1, 2)), F_ONES, [0, 1, -1], 0)
+
+
 class TestBuild:
     def test_all_ones_log2_full_trace(self):
         trace = build(F_ONES, LOG2, 1)
@@ -263,15 +293,21 @@ class TestStagePositions:
         assert expected_kind(3) == expected_kind(9) == KIND_DENSIFICATION
 
     def test_m_covered_is_derived_from_the_index(self):
-        # a stage cannot carry a count of covered targets that its index
-        # contradicts: the count is not stored
+        # a stage cannot carry a count of covered targets, or a kind, that its
+        # index contradicts: neither is stored
+        assert [f.name for f in dataclasses.fields(StageRecord)] == ["index", "set", "added", "x"]
         trace = build(F_ONES, LOG2, 1)
         with pytest.raises(TypeError):
             dataclasses.replace(trace.stages[2], m_covered=9)
+        with pytest.raises(TypeError):
+            dataclasses.replace(trace.stages[2], kind=KIND_EXTENSION)
         loaded = trace_loads(trace_dumps(build(F_ZEROS, "pow:2/5", 2)))
         assert [s.m_covered for s in loaded.stages] == [
             expected_m_covered(s.index) for s in loaded.stages
         ] == [1, 2, 2, 3, 3]
+        assert [s.kind for s in loaded.stages] == [
+            expected_kind(s.index) for s in loaded.stages
+        ] == [KIND_BASE, KIND_EXTENSION, KIND_DENSIFICATION, KIND_EXTENSION, KIND_DENSIFICATION]
 
 
 @pytest.fixture()

@@ -328,6 +328,11 @@ class TestTargetSequence:
             assert k <= f.value(n)
         assert counts[0] == 0 and counts[1] == 2 and counts[-1] == 3
 
+    @pytest.mark.parametrize("m", [1.5, True, -1])
+    def test_prefix_length_must_be_a_non_negative_integer(self, m):
+        with pytest.raises(ValueError, match=f"prefix length must be a non-negative integer, got {m}"):
+            TargetSequence(RepTarget.constant(1)).prefix(m)
+
     def test_shared_sequence_caches(self):
         seq = TargetSequence(RepTarget.constant(1))
         assert seq.prefix(3) == [0, 1, -1]
@@ -516,6 +521,12 @@ class TestPhiSpec:
         text = "clog:" + "1" * 4000 + "." + "1" * 4000 + "e-4000"
         with pytest.raises(ValueError, match="^phi parameter of clog has up to 8001 digits, past the limit of 4300$"):
             build(RepTarget.constant(1), text, 1)
+
+    @pytest.mark.parametrize("kind, parameter", [("pow", "0.3"), ("clog", "2")])
+    def test_a_string_parameter_is_refused_before_its_range(self, kind, parameter):
+        with pytest.raises(ValueError) as refused:
+            PhiSpec(kind, parameter)
+        assert str(refused.value) == f"bad phi parameter {parameter!r}"
 
     def test_direct_constructor_validation(self):
         with pytest.raises(ValueError):

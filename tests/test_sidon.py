@@ -155,6 +155,16 @@ class TestInputLimit:
         assert str(err.value) == "Sidon bound n=100000001 exceeds 100000000"
         assert advanced == []
 
+    @pytest.mark.parametrize("construct, n", [
+        (greedy_sidon, 1.5), (greedy_sidon, True), (erdos_turan_sidon, 8.5),
+        (erdos_turan_sidon, True), (sidon_for_density, 50.5), (sidon_for_density, "50"),
+    ])
+    def test_a_bound_that_is_not_an_integer_is_refused_before_any_ladder_work(self, construct, n, advanced):
+        with pytest.raises(ValueError) as err:
+            construct(n)
+        assert str(err.value) == f"Sidon bound n must be an integer, got {n!r}"
+        assert advanced == []
+
     def test_limit_is_inclusive(self, advanced):
         n = sidon_mod.SIDON_N_LIMIT
         assert greedy_sidon(n).ambient_n == n

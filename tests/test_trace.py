@@ -7,7 +7,8 @@ The benchmark tracer looks its wrapped functions up by module attribute,
 so each of them must resolve on a fresh import.  A derandomized set of
 one- and two-value edits of a generated trace runs through
 `repbasis verify`: each edit ends in a verdict or in one short typed
-error line."""
+error line.  Every reader of a trace refuses the same shapes, as the shape
+rules live in `trace` alone."""
 
 import ast
 import copy
@@ -18,7 +19,26 @@ import subprocess
 import sys
 from pathlib import Path
 
-from repbasis import cli, construct, errors, trace
+import pytest
+
+from repbasis import (
+    ConstructionTrace,
+    FiniteBasis,
+    MalformedTraceError,
+    PhiSpec,
+    RepTarget,
+    StageRecord,
+    build,
+    check_equality_coverage,
+    check_invariants,
+    cli,
+    construct,
+    errors,
+    trace,
+    trace_loads,
+    trace_to_dict,
+    verify_trace,
+)
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "repbasis"
@@ -55,6 +75,12 @@ def _defined(module: str) -> set[str]:
     return names
 
 
+def _imported(module: str) -> set[str]:
+    """The names `module` binds by a from-import."""
+    return {a.asname or a.name for node in ast.walk(_tree(module))
+            if isinstance(node, ast.ImportFrom) for a in node.names}
+
+
 class TestImportBoundary:
     def test_verify_imports_only_errors_repcore_and_trace(self):
         assert _package_imports("verify") <= {"errors", "repcore", "trace"}
@@ -74,6 +100,42 @@ class TestImportBoundary:
         assert imported - used == {"trace_dumps", "trace_loads"}
         assert construct.trace_dumps is trace.trace_dumps
         assert construct.trace_loads is trace.trace_loads
+
+
+class TestExtensionArity:
+    """An extension stage adds one pair, or nothing when its target was
+    already covered; the loader, `stats`, `verify` and the oracles on trace
+    objects refuse any other count with the same message."""
+
+    @pytest.mark.parametrize("added", [[98], [-97, 98, 200]])
+    def test_every_reader_gives_the_same_message(self, tmp_path, capsys, added):
+        # the f = 1 build adds the pair {-97, 98} at stage 2; replace it
+        data = trace_to_dict(build(RepTarget.constant(1), "log2", 1))
+        for stage in data["stages"][1:]:
+            stage["set"] = sorted(set(stage["set"]) - {-97, 98} | set(added))
+        data["stages"][1]["added"] = added
+        want = f"extension stage 2 must add 0 or 2 elements, got {len(added)}"
+        with pytest.raises(MalformedTraceError) as refused:
+            trace_loads(json.dumps(data))
+        assert str(refused.value) == want
+        path = tmp_path / "trace.json"
+        path.write_text(json.dumps(data))
+        for command in ("stats", "verify"):
+            assert cli.main([command, "--trace", str(path)]) == 1
+            assert capsys.readouterr() == ("", f"MALFORMED_TRACE: {want}\n")
+        # a trace object skips the loader; every oracle still refuses it
+        stages = tuple(StageRecord(s["index"], FiniteBasis(tuple(s["set"])), FiniteBasis(tuple(s["added"])),
+                                   s.get("x")) for s in data["stages"])
+        obj = ConstructionTrace(RepTarget.constant(1), PhiSpec.parse("log2"),
+                                tuple(data["u_prefix"]), stages)
+        for oracle in (check_invariants, check_equality_coverage, verify_trace):
+            with pytest.raises(MalformedTraceError) as refused:
+                oracle(obj)
+            assert str(refused.value) == want
+
+    def test_neither_verify_nor_construct_names_a_shape_rule(self):
+        assert "MalformedTraceError" not in _imported("verify")
+        assert not {n for n in _defined("construct") | _imported("construct") if n.startswith("KIND_")}
 
 
 def test_every_traced_function_resolves_on_a_fresh_import():
