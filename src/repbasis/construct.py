@@ -16,7 +16,7 @@ import math
 import os
 from collections import Counter
 
-from .errors import PhiTooSlowError, PreconditionViolatedError, echo
+from .errors import PhiTooSlowError, PreconditionViolatedError, echo, require_int
 from .repcore import (
     FiniteBasis,
     PhiSpec,
@@ -49,10 +49,8 @@ def resolve_search_cap(cap: int | None = None) -> int:
         try:
             cap = int(raw)
         except ValueError:
-            raise ValueError(f"{SEARCH_CAP_ENV} must be a positive integer, got {echo(raw)}") from None
-    if not isinstance(cap, int) or isinstance(cap, bool) or cap < 1:
-        raise ValueError(f"search cap must be a positive integer, got {echo(cap)}")
-    return cap
+            raise ValueError(f"{SEARCH_CAP_ENV} must be an integer >= 1, got {echo(raw)}") from None
+    return require_int(cap, "search cap", 1)
 
 
 def _as_phi(phi: PhiSpec | str) -> PhiSpec:
@@ -132,7 +130,7 @@ def _density_search(
             size = ladder.best_size()
             if 4 * size * size > n and density_exceeds(extra_count + size, scale * n, phi):
                 return n, scale * n, ladder.best_elements()
-            n = ladder.advance_to_growth(last)
+            n = ladder._advance_to_growth(last)
     raise PhiTooSlowError(
         f"{context}: no x <= {cap} (step {scale}) reaches "
         f"count > sqrt(x)/phi(x) with phi={phi}",
@@ -199,9 +197,7 @@ def extend_target(A: FiniteBasis, f: RepTarget, u: TargetSequence, m: int) -> Fi
     """
     _require_type(f, RepTarget, "f")
     _require_type(u, TargetSequence, "u")
-    if isinstance(m, bool) or not isinstance(m, int) or m < 0:
-        raise ValueError(f"m must be an integer >= 0, got {echo(m)}")
-    prefix = u.prefix(m + 1)
+    prefix = u.prefix(require_int(m, "m", 0) + 1)
     _reject_zero_member(A, "extension")
     counts = _reject_bad_pair_counts(A, f, "extension")
     needed_before = Counter(prefix[:m])
@@ -234,8 +230,7 @@ def densify(
     _require_type(f, RepTarget, "f")
     phi = _as_phi(phi)
     cap = resolve_search_cap(search_cap)
-    if isinstance(M, bool) or not isinstance(M, int) or M < 1:
-        raise PreconditionViolatedError(f"densification: M must be an integer >= 1, got {echo(M)}")
+    require_int(M, "densification: M", 1, PreconditionViolatedError)
     _reject_zero_member(A, "densification")
     _reject_bad_pair_counts(A, f, "densification")
     D, x = _dilated_sidon(A, f, phi, M, cap)
@@ -259,8 +254,7 @@ def build(
 
     phi may be given as a spec string such as "log2" or "pow:1/4".
     """
-    if not isinstance(L, int) or isinstance(L, bool) or L < 1:
-        raise ValueError(f"stage count L must be an integer >= 1, got {echo(L)}")
+    require_int(L, "stage count L", 1)
     _require_type(f, RepTarget, "f")
     phi = _as_phi(phi)
     cap = resolve_search_cap(search_cap)

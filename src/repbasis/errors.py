@@ -1,5 +1,5 @@
-"""Exception types shared across the package, and the bounded repr their
-messages name a refused value by."""
+"""Exception types shared across the package, the bounded repr their
+messages name a refused value by, and the one rule for integer arguments."""
 
 
 class RepbasisError(Exception):
@@ -53,3 +53,13 @@ def echo(value) -> str:
     so that a message naming a refused value of any size stays short."""
     text = repr(value)
     return text if len(text) <= 80 else text[:80] + "..."
+
+
+def require_int(value, what: str, least: int | None = None, error: type[Exception] = ValueError) -> int:
+    """value, when it is an int (a bool is not) and, with least given, at
+    least least; otherwise error with the one message shape
+    "<what> must be an integer[ >= <least>], got <echo(value)>"."""
+    if isinstance(value, bool) or not isinstance(value, int) or (least is not None and value < least):
+        bound = "" if least is None else f" >= {least}"
+        raise error(f"{what} must be an integer{bound}, got {echo(value)}")
+    return value

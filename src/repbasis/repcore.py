@@ -17,7 +17,7 @@ from fractions import Fraction
 from itertools import chain
 from typing import Iterable, Iterator, Mapping
 
-from .errors import EmptySetError, InputTooLargeError, PreconditionViolatedError, echo
+from .errors import EmptySetError, InputTooLargeError, PreconditionViolatedError, echo, require_int
 
 # Sentinel for "no finite bound at this n".  A plain float keeps min(),
 # comparisons and JSON handling unsurprising.
@@ -40,11 +40,7 @@ def _encode_count(value):
 
 
 def _decode_count(raw, *, what: str):
-    if raw == "inf":
-        return INFINITY
-    if isinstance(raw, bool) or not isinstance(raw, int):
-        raise ValueError(f"{what} must be an integer or \"inf\", got {echo(raw)}")
-    return raw
+    return INFINITY if raw == "inf" else require_int(raw, what)
 
 
 def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
@@ -94,20 +90,17 @@ class RepTarget:
     default: int | float = 1
 
     def __post_init__(self):
-        w = self.window_radius
-        if isinstance(w, bool) or not isinstance(w, int) or w < 0:
-            raise ValueError("window_radius must be a non-negative integer")
-        d = self.default
-        if isinstance(d, bool) or not (d == INFINITY or (isinstance(d, int) and d >= 1)):
-            raise ValueError("default must be an integer >= 1 or INFINITY")
+        w = require_int(self.window_radius, "window", 0)
+        if self.default != INFINITY:
+            require_int(self.default, "default", 1)
         # 2w + 1 distinct keys, each an integer in [-w, w], cover the window
         # exactly; checked without building the window, which may be huge
         cover = f"values must cover exactly the integers n with |n| <= window={echo(w)}"
         for n, v in self.values.items():
-            if isinstance(n, bool) or not isinstance(n, int) or not -w <= n <= w:
+            if not -w <= require_int(n, f"{cover}; key") <= w:
                 raise ValueError(f"{cover}; key {echo(n)} lies outside")
-            if not (v == INFINITY or (isinstance(v, int) and not isinstance(v, bool) and v >= 0)):
-                raise ValueError(f"value at n={n} must be a non-negative integer or INFINITY")
+            if v != INFINITY:
+                require_int(v, f"value at n={n}", 0)
         if len(self.values) != 2 * w + 1:  # too few keys: name the smallest n missing
             missing = next(n for n, key in zip(range(-w, w + 1), [*sorted(self.values), None]) if n != key)
             raise ValueError(f"{cover}; n={missing} is missing")
@@ -175,8 +168,7 @@ class FiniteBasis:
         # C-level passes; the offending element is looked up only on failure
         if not {int}.issuperset(map(type, els)):
             for e in els:
-                if isinstance(e, bool) or not isinstance(e, int):
-                    raise ValueError(f"elements must be integers, got {echo(e)}")
+                require_int(e, "element")
         if not all(map(operator.lt, els, els[1:])):
             raise ValueError("elements must be strictly increasing")
 
@@ -211,6 +203,7 @@ def _require_basis(A) -> None:
 def rep_function(A: FiniteBasis, n: int) -> int:
     """Number of unordered pairs a <= b in A with a + b = n."""
     _require_basis(A)
+    require_int(n, "n", error=PreconditionViolatedError)
     count = 0
     for a in A.elements:
         if 2 * a > n:
@@ -295,8 +288,7 @@ class TargetSequence:
 
     def prefix(self, m: int) -> list[int]:
         """The first m terms (m >= 0)."""
-        if isinstance(m, bool) or not isinstance(m, int) or m < 0:
-            raise ValueError(f"prefix length must be a non-negative integer, got {echo(m)}")
+        require_int(m, "prefix length", 0)
         while len(self._emitted) < m:
             self._advance_round()
         return self._emitted[:m]

@@ -12,7 +12,7 @@ import threading
 from dataclasses import dataclass
 from typing import Iterable
 
-from .errors import DensityUnreachableError, InputTooLargeError, InputTooSmallError, echo
+from .errors import DensityUnreachableError, InputTooLargeError, InputTooSmallError, require_int
 from .repcore import FiniteBasis
 
 # Largest ambient bound the constructions accept: the shared greedy walk's
@@ -40,6 +40,7 @@ class SidonSet(FiniteBasis):
 
     def __post_init__(self):
         super().__post_init__()
+        require_int(self.ambient_n, "ambient_n")
         if self.elements and not 1 <= self.elements[0] <= self.elements[-1] <= self.ambient_n:
             raise ValueError("elements must lie in [1, ambient_n]")
 
@@ -109,9 +110,7 @@ def _admitted_primes(n: int, known: int = 0) -> int:
 
 def _check_bound(n: int, least: int, construction: str) -> None:
     """Refuse an n that is not an integer, below least or past SIDON_N_LIMIT."""
-    if isinstance(n, bool) or not isinstance(n, int):
-        raise ValueError(f"Sidon bound n must be an integer, got {echo(n)}")
-    if n < least:
+    if require_int(n, "Sidon bound n") < least:
         raise InputTooSmallError(f"{construction} construction needs n >= {least}")
     if n > SIDON_N_LIMIT:
         raise InputTooLargeError(f"Sidon bound n={n} exceeds {SIDON_N_LIMIT}")
@@ -187,7 +186,7 @@ class SidonLadder:
         self._primes = 0  # primes p with 2*p*p <= n
 
     def advance(self, n: int) -> None:
-        if n < self._n:
+        if require_int(n, "Sidon bound n") < self._n:
             raise ValueError("ladder only moves forward")
         while _greedy_at(self._count) <= n:
             self._count += 1
@@ -197,6 +196,11 @@ class SidonLadder:
     def advance_to_growth(self, limit: int) -> int | None:
         """Move the bound to the first n <= limit where best_size() grows and
         return that n; return None once the bound reaches limit without it."""
+        return self._advance_to_growth(require_int(limit, "limit"))
+
+    def _advance_to_growth(self, limit: int) -> int | None:
+        # the scan calls this once per growth of best_size(), so the check of
+        # an int limit it computed itself is left to the public entry
         best = self.best_size()
         while True:
             g, p = _greedy_at(self._count), _prime_at(self._primes)

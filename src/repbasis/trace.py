@@ -22,7 +22,7 @@ import sys
 from dataclasses import dataclass
 from json.encoder import c_make_encoder, encode_basestring_ascii
 
-from .errors import MalformedTraceError, echo
+from .errors import MalformedTraceError, echo, require_int
 from .repcore import FiniteBasis, PhiSpec, RepTarget, _check_keys, _json_loads
 
 KIND_BASE = "BASE"
@@ -90,14 +90,14 @@ def validate_trace_structure(trace: ConstructionTrace) -> None:
     if len(stages) % 2 == 0:
         raise MalformedTraceError("trace must end on a checkpoint stage (odd stage count)")
     for pos, s in enumerate(stages, start=1):
-        if s.index != pos:
+        if require_int(s.index, f"stage {pos} index", error=MalformedTraceError) != pos:
             raise MalformedTraceError(f"stage at position {pos} carries index {echo(s.index)}")
         if pos % 2 == 0 and len(s.added) not in (0, 2):
             # an extension adjoins one pair, or nothing when its target was covered
             raise MalformedTraceError(f"extension stage {pos} must add 0 or 2 elements, got {len(s.added)}")
         if (s.x is not None) != (pos % 2 == 1):
             raise MalformedTraceError(f"stage {pos} must carry x exactly when its index is odd")
-        if s.x is not None and s.x < 1:
+        if s.x is not None and require_int(s.x, f"stage {pos} x", error=MalformedTraceError) < 1:
             raise MalformedTraceError(f"stage {pos} checkpoint x must be positive, got {echo(s.x)}")
     want_targets = expected_m_covered(len(stages))
     if len(trace.u_prefix) != want_targets:
@@ -183,18 +183,12 @@ def trace_dumps(trace: ConstructionTrace) -> str:
     return canonical_json(trace_to_dict(trace))
 
 
-def _require_int(value, what: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise MalformedTraceError(f"{what} must be an integer, got {echo(value)}")
-    return value
-
-
 def _int_list(raw, what: str) -> list[int]:
     if not isinstance(raw, list):
         raise MalformedTraceError(f"{what} must be a list")
     if not {int}.issuperset(map(type, raw)):  # one C-level pass; walk only to name the offender
         for v in raw:
-            _require_int(v, f"{what} entry")
+            require_int(v, f"{what} entry", error=MalformedTraceError)
     return raw
 
 
@@ -232,10 +226,10 @@ def trace_from_dict(data) -> ConstructionTrace:
             )
         stages.append(
             StageRecord(
-                index=_require_int(raw["index"], f"stage {pos} index"),
+                index=require_int(raw["index"], f"stage {pos} index", error=MalformedTraceError),
                 set=_strict_basis(raw["set"], f"stage {pos} set"),
                 added=_strict_basis(raw["added"], f"stage {pos} added"),
-                x=_require_int(raw["x"], f"stage {pos} x") if "x" in raw else None,
+                x=require_int(raw["x"], f"stage {pos} x", error=MalformedTraceError) if "x" in raw else None,
             )
         )
     trace = ConstructionTrace(f=f, phi=phi, u_prefix=u_prefix, stages=tuple(stages))

@@ -14,7 +14,7 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import chain
 
-from .errors import PreconditionViolatedError, echo
+from .errors import PreconditionViolatedError, echo, require_int
 from .repcore import (
     FiniteBasis,
     RepTarget,
@@ -97,21 +97,14 @@ def _fail(condition: str, stage: int | None, witness: int | None, detail: str) -
 
 
 def check_invariants(trace: ConstructionTrace) -> InvariantReport:
-    """Re-verify the four per-stage invariants plus trace-global coherence.
+    """Re-verify the four per-stage invariants plus trace-global coherence,
+    in verify_trace's walk without its upper-bound records.
 
     Structural defects (bad indices, misplaced checkpoints, an extension
     that adds neither 0 nor 2 elements) raise MalformedTraceError; semantic
     violations come back as failed entries with a concrete integer witness.
     """
-    validate_trace_structure(trace)
-    floor = _smallest_value(trace.f)
-    checks: list[CheckResult] = []
-    prev: FiniteBasis | None = None
-    for s in trace.stages:
-        counts, top = _recount(s.set)
-        checks += _stage_invariants(trace, s, _nesting_check(s, prev), counts, top, floor)
-        prev = s.set
-    return InvariantReport(tuple(checks + _trace_invariants(trace)))
+    return _walk(trace, with_bounds=False)[0]
 
 
 def _recount(A: FiniteBasis) -> tuple[Counter, int]:
@@ -232,11 +225,9 @@ def check_decomposition(A: FiniteBasis, added, kind: str) -> DecompositionReport
     rises by exactly one and it is exempt from the disjointness demand.
     """
     _require_basis(A)
-    added_tuple = tuple(added)
-    bad = [t for t in added_tuple if isinstance(t, bool) or not isinstance(t, int)]
-    if bad:
-        raise PreconditionViolatedError(f"added elements must be integers, got {echo(bad[0])}")
-    added_tuple = tuple(sorted(added_tuple))
+    # every entry is checked before sorted compares any two
+    added_tuple = tuple(sorted([require_int(t, "added element", error=PreconditionViolatedError)
+                                for t in added]))
     if not added_tuple:
         raise PreconditionViolatedError("decomposition needs a nonempty added list")
     if kind not in (KIND_EXTENSION, KIND_DENSIFICATION):
@@ -352,6 +343,8 @@ def upper_bound_check(A: FiniteBasis, x: int, r: int) -> bool:
     """Exact pigeonhole sanity bound: with k elements in [-x, x], the
     k(k+1)/2 pair sums land in [-2x, 2x], so k(k+1)/2 <= r(4x+1) whenever
     every rep count is at most r."""
+    require_int(x, "x", 0, PreconditionViolatedError)
+    require_int(r, "r", 0, PreconditionViolatedError)
     return _pigeonhole(counting(A, -x, x), x, r)[0]
 
 
@@ -450,22 +443,30 @@ def verify_trace(trace: ConstructionTrace) -> VerificationReport:
     """Full oracle bundle: invariants, per-stage decompositions, exhausted
     equalities, and the pigeonhole bound at every (stage, checkpoint) pair.
 
-    One walk over the stages tallies each pair once.  Stage 1, and a stage
-    whose nesting check fails, are counted pair by pair; their largest count
-    is 1 when their pairs give distinct sums and is read from the counts
-    otherwise.  Any other stage takes the counts its decomposition derives in
-    place from its predecessor's: the cross and self sums are added to them
-    once, and undone and re-derived only when a decomposition check fails.
-    Counts only grow along a nested chain, so such a stage's largest count is
-    its predecessor's or one on its cross and self sums.  Each (stage,
-    checkpoint) pair counts the stage's elements in [-x, x] once.
-
     A shape defect, such as an extension stage that adds neither 0 nor 2
     elements, raises MalformedTraceError from validate_trace_structure.
     """
+    invariants, decompositions, upper_bounds = _walk(trace, with_bounds=True)
+    return VerificationReport(invariants, decompositions, check_equality_coverage(trace), upper_bounds)
+
+
+def _walk(trace: ConstructionTrace, with_bounds: bool) -> tuple[InvariantReport, tuple, tuple]:
+    """The invariant report, the decompositions and the upper-bound records
+    (none unless with_bounds) of one walk over the stages.
+
+    The walk tallies each pair once.  Stage 1, and a stage whose nesting
+    check fails, are counted pair by pair; their largest count is 1 when
+    their pairs give distinct sums and is read from the counts otherwise.
+    Any other stage takes the counts its decomposition derives in place
+    from its predecessor's: the cross and self sums are added to them once,
+    and undone and re-derived only when a decomposition check fails.
+    Counts only grow along a nested chain, so such a stage's largest count
+    is its predecessor's or one on its cross and self sums.  Each (stage,
+    checkpoint) pair counts the stage's elements in [-x, x] once.
+    """
     validate_trace_structure(trace)
     bounds = [(x, r) for _, x, _ in trace.checkpoints()
-              if (r := trace.f.max_finite(2 * x)) is not None]
+              if (r := trace.f.max_finite(2 * x)) is not None] if with_bounds else []
     floor = _smallest_value(trace.f)
     invariants: list[CheckResult] = []
     decompositions = []
@@ -489,9 +490,4 @@ def verify_trace(trace: ConstructionTrace) -> VerificationReport:
             else:
                 upper_bounds.append(_fail("upper_bound", s.index, x, detail))
         prev = s.set
-    return VerificationReport(
-        invariants=InvariantReport(tuple(invariants + _trace_invariants(trace))),
-        decompositions=tuple(decompositions),
-        equality=check_equality_coverage(trace),
-        upper_bounds=tuple(upper_bounds),
-    )
+    return InvariantReport(tuple(invariants + _trace_invariants(trace))), tuple(decompositions), tuple(upper_bounds)

@@ -177,6 +177,20 @@ class TestBuild:
         assert result.stderr == (f"ERROR: values must cover exactly the integers n with "
                                  f"|n| <= window={window}; {witness}\n")
 
+    @pytest.mark.parametrize(
+        "target, message",
+        [
+            ({"window": 1.5, "values": {"0": 1}, "default": 1}, "window must be an integer >= 0, got 1.5"),
+            ({"window": 0, "values": {"0": 1}, "default": True}, "default must be an integer, got True"),
+        ],
+        ids=["float_window", "bool_default"],
+    )
+    def test_a_number_that_is_not_an_integer_is_named(self, tmp_path, target, message):
+        path = tmp_path / "f.json"
+        path.write_text(json.dumps(target))
+        result = run_cli("build", "--f", str(path), "--phi", "log2", "--stages", "1")
+        assert (result.returncode, result.stdout, result.stderr) == (1, "", f"ERROR: {message}\n")
+
     def test_hopeless_phi_aborts_at_default_cap(self, ones_file):
         # Lindström's bound rules out every x up to 10**9 before any scan
         result = run_cli("build", "--f", str(ones_file), "--phi", "clog:1/100",

@@ -195,7 +195,7 @@ class TestFiniteBasis:
         with pytest.raises(ValueError):
             FiniteBasis((True,))
         # the first offending element is named
-        with pytest.raises(ValueError, match="^elements must be integers, got True$"):
+        with pytest.raises(ValueError, match="^element must be an integer, got True$"):
             FiniteBasis((1, True, 2.5))
         with pytest.raises(ValueError, match="^elements must be strictly increasing$"):
             FiniteBasis((1, 3, 3))
@@ -330,7 +330,7 @@ class TestTargetSequence:
 
     @pytest.mark.parametrize("m", [1.5, True, -1])
     def test_prefix_length_must_be_a_non_negative_integer(self, m):
-        with pytest.raises(ValueError, match=f"prefix length must be a non-negative integer, got {m}"):
+        with pytest.raises(ValueError, match=f"^prefix length must be an integer >= 0, got {m}$"):
             TargetSequence(RepTarget.constant(1)).prefix(m)
 
     def test_shared_sequence_caches(self):

@@ -255,7 +255,7 @@ class TestSidonSet:
         with pytest.raises(ValueError):
             SidonSet((1, 6), 5)
         for bad in ((True, 2), (1.5, 2)):
-            with pytest.raises(ValueError, match="elements must be integers"):
+            with pytest.raises(ValueError, match=f"^element must be an integer, got {bad[0]}$"):
                 SidonSet(bad, 5)
 
     def test_container_protocol(self):
