@@ -130,7 +130,7 @@ def _density_search(
             size = ladder.best_size()
             if 4 * size * size > n and density_exceeds(extra_count + size, scale * n, phi):
                 return n, scale * n, ladder.best_elements()
-            n = ladder._advance_to_growth(last)
+            n = ladder.advance_to_growth(last)
     raise PhiTooSlowError(
         f"{context}: no x <= {cap} (step {scale}) reaches "
         f"count > sqrt(x)/phi(x) with phi={phi}",

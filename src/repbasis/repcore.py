@@ -40,7 +40,7 @@ def _encode_count(value):
 
 
 def _decode_count(raw, *, what: str):
-    return INFINITY if raw == "inf" else require_int(raw, what)
+    return INFINITY if raw == "inf" else require_int(raw, f'{what} (or "inf")')
 
 
 def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
@@ -97,9 +97,11 @@ class RepTarget:
         # exactly; checked without building the window, which may be huge
         cover = f"values must cover exactly the integers n with |n| <= window={echo(w)}"
         for n, v in self.values.items():
-            if not -w <= require_int(n, f"{cover}; key") <= w:
+            if type(n) is not int:  # messages are built only on these slow paths
+                require_int(n, f"{cover}; key")
+            if not -w <= n <= w:
                 raise ValueError(f"{cover}; key {echo(n)} lies outside")
-            if v != INFINITY:
+            if v != INFINITY and (type(v) is not int or v < 0):
                 require_int(v, f"value at n={n}", 0)
         if len(self.values) != 2 * w + 1:  # too few keys: name the smallest n missing
             missing = next(n for n, key in zip(range(-w, w + 1), [*sorted(self.values), None]) if n != key)

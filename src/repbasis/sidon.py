@@ -196,11 +196,7 @@ class SidonLadder:
     def advance_to_growth(self, limit: int) -> int | None:
         """Move the bound to the first n <= limit where best_size() grows and
         return that n; return None once the bound reaches limit without it."""
-        return self._advance_to_growth(require_int(limit, "limit"))
-
-    def _advance_to_growth(self, limit: int) -> int | None:
-        # the scan calls this once per growth of best_size(), so the check of
-        # an int limit it computed itself is left to the public entry
+        require_int(limit, "limit")
         best = self.best_size()
         while True:
             g, p = _greedy_at(self._count), _prime_at(self._primes)

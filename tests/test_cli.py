@@ -181,9 +181,11 @@ class TestBuild:
         "target, message",
         [
             ({"window": 1.5, "values": {"0": 1}, "default": 1}, "window must be an integer >= 0, got 1.5"),
-            ({"window": 0, "values": {"0": 1}, "default": True}, "default must be an integer, got True"),
+            ({"window": 0, "values": {"0": 1}, "default": True}, 'default (or "inf") must be an integer, got True'),
+            ({"window": 0, "values": {"0": 1}, "default": "Infinity"},
+             'default (or "inf") must be an integer, got \'Infinity\''),
         ],
-        ids=["float_window", "bool_default"],
+        ids=["float_window", "bool_default", "infinity_spelled_out"],
     )
     def test_a_number_that_is_not_an_integer_is_named(self, tmp_path, target, message):
         path = tmp_path / "f.json"
