@@ -69,7 +69,7 @@ def _require_type(value, cls: type, name: str) -> None:
 def _reject_bad_pair_counts(A: FiniteBasis, f: RepTarget, context: str) -> Counter:
     counts = sum_counter(A)
     for n in sorted(counts):
-        fv = f.value(n)
+        fv = f._value(n)
         if counts[n] > fv:
             raise PreconditionViolatedError(
                 f"{context}: pair-sum count {counts[n]} exceeds prescribed {fv} at n={n}",

@@ -113,9 +113,13 @@ class RepTarget:
         return cls(0, {0: value}, value)
 
     def value(self, n: int):
-        if -self.window_radius <= n <= self.window_radius:
-            return self.values[n]
-        return self.default
+        """f(n) for an integer n."""
+        return self._value(require_int(n, "n", error=PreconditionViolatedError))
+
+    def _value(self, n: int):
+        """f(n), unchecked, for the loops that look up every counted sum;
+        the keys of `values` are exactly the integers of the window."""
+        return self.values.get(n, self.default)
 
     def zero_points(self) -> list[int]:
         """All n with target value 0 (necessarily inside the window)."""
@@ -283,7 +287,7 @@ class TargetSequence:
 
     def _advance_round(self) -> None:
         self._round += 1
-        t, value = self._round, self.source.value
+        t, value = self._round, self.source._value
         self._live.extend((0, 1, -1) if t == 1 else (t, -t))
         self._live = [n for n in self._live if t - (abs(n) or 1) < value(n)]
         self._emitted.extend(self._live)

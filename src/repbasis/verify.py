@@ -10,6 +10,7 @@ builder's code (`construct`, `sidon`).
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 from itertools import chain
@@ -144,9 +145,9 @@ def _stage_invariants(
     if top <= floor:
         n = None
     else:
-        n = min((n for n, r in counts.items() if r > f.value(n)), default=None)
+        n = min((n for n, r in counts.items() if r > f._value(n)), default=None)
     if n is not None:
-        detail = f"rep count {counts[n]} exceeds prescribed {f.value(n)} at n={n}"
+        detail = f"rep count {counts[n]} exceeds prescribed {f._value(n)} at n={n}"
         checks.append(_fail(COND_PAIR_BOUND, s.index, n, detail))
     else:
         checks.append(_ok(COND_PAIR_BOUND, s.index, "pair-sum counts within bounds"))
@@ -336,7 +337,7 @@ def _disjoint_check(name: str, left, right: set[int], exempt: int | None) -> Che
 # the records of a passing stage's checks that do not name u: parts that
 # hold no sums pass them
 _PASSED = tuple(_part_checks(set(), [], [], None)[:4])
-_PIECEWISE_OK = _ok("piecewise_formula", None, "piecewise counts match brute force")
+_PIECEWISE_OK = _ok("piecewise_formula", None, "piecewise counts match the union's pair counts")
 
 
 def upper_bound_check(A: FiniteBasis, x: int, r: int) -> bool:
@@ -352,6 +353,26 @@ def _pigeonhole(k: int, x: int, r: int) -> tuple[bool, int, int]:
     """Whether k(k+1)/2 <= r(4x+1), with both sides."""
     pairs, slots = k * (k + 1) // 2, r * (4 * x + 1)
     return pairs <= slots, pairs, slots
+
+
+def _run_bound(run: tuple[StageRecord, ...], x: int, r: int) -> CheckResult:
+    """The upper-bound record of one nested run at the checkpoint (x, r).
+
+    Each stage of the run contains the one before it, so its count in
+    [-x, x] never falls and the bound, once broken, stays broken.  The
+    run's last stage decides it; only a failure bisects for the first
+    stage that breaks it, which the record names."""
+    def exceeds(s: StageRecord) -> bool:
+        return not _pigeonhole(counting(s.set, -x, x), x, r)[0]
+
+    last = run[-1]
+    s = run[bisect_left(run, True, hi=len(run) - 1, key=exceeds)] if exceeds(last) else last
+    k = counting(s.set, -x, x)
+    fits, pairs, slots = _pigeonhole(k, x, r)
+    detail = f"stages {run[0].index}-{last.index}: k={k}, k(k+1)/2={pairs}, bound r(4x+1)={slots}"
+    if fits:
+        return _ok("upper_bound", s.index, detail)
+    return _fail("upper_bound", s.index, x, f"{detail}; stages {s.index}-{last.index} fail")
 
 
 @dataclass(frozen=True, eq=True)
@@ -394,7 +415,7 @@ def check_equality_coverage(trace: ConstructionTrace) -> EqualityReport:
     covered = Counter(trace.u_prefix[: final.m_covered])
     entries: list[EqualityEntry] = []
     for n in sorted(covered):
-        fv = trace.f.value(n)
+        fv = trace.f._value(n)
         if not is_infinite(fv) and covered[n] == fv:
             entries.append(
                 EqualityEntry(n=n, stage=final.index, required=fv, actual=rep_function(final.set, n))
@@ -441,7 +462,15 @@ class VerificationReport:
 
 def verify_trace(trace: ConstructionTrace) -> VerificationReport:
     """Full oracle bundle: invariants, per-stage decompositions, exhausted
-    equalities, and the pigeonhole bound at every (stage, checkpoint) pair.
+    equalities, and the pigeonhole bound of every checkpoint over every
+    maximal nested run of stages.
+
+    A run starts at stage 1 and at each stage whose nesting check fails,
+    and takes in every later stage whose check passes.  Along a run each
+    set contains the one before, so one record per (run, checkpoint)
+    decides the bound at every stage of the run: a pass at the run's last
+    stage, or a failure at its first stage that breaks the bound, from
+    which every later stage of the run breaks it too.
 
     A shape defect, such as an extension stage that adds neither 0 nor 2
     elements, raises MalformedTraceError from validate_trace_structure.
@@ -461,8 +490,9 @@ def _walk(trace: ConstructionTrace, with_bounds: bool) -> tuple[InvariantReport,
     from its predecessor's: the cross and self sums are added to them once,
     and undone and re-derived only when a decomposition check fails.
     Counts only grow along a nested chain, so such a stage's largest count
-    is its predecessor's or one on its cross and self sums.  Each (stage,
-    checkpoint) pair counts the stage's elements in [-x, x] once.
+    is its predecessor's or one on its cross and self sums.  A stage that
+    is recounted also opens a nested run, and _run_bound writes each run's
+    records once the walk is done.
     """
     validate_trace_structure(trace)
     bounds = [(x, r) for _, x, _ in trace.checkpoints()
@@ -470,24 +500,20 @@ def _walk(trace: ConstructionTrace, with_bounds: bool) -> tuple[InvariantReport,
     floor = _smallest_value(trace.f)
     invariants: list[CheckResult] = []
     decompositions = []
-    upper_bounds: list[CheckResult] = []
+    starts = []  # the position of each nested run's first stage
     prev = counts = None
-    for s in trace.stages:
+    for i, s in enumerate(trace.stages):
         nesting = _nesting_check(s, prev)
         if s.kind != KIND_BASE and len(s.added) > 0:
             report, new_top = _decompose(prev, counts, s.added.elements, s.kind)
             decompositions.append((s.index, report))
             top = max(top, new_top)
         if prev is None or not nesting.passed:
+            starts.append(i)
             counts, top = _recount(s.set)
         invariants += _stage_invariants(trace, s, nesting, counts, top, floor)
-        for x, r in bounds:
-            k = counting(s.set, -x, x)
-            fits, pairs, slots = _pigeonhole(k, x, r)
-            detail = f"k={k}, k(k+1)/2={pairs}, bound r(4x+1)={slots}"
-            if fits:
-                upper_bounds.append(_ok("upper_bound", s.index, detail))
-            else:
-                upper_bounds.append(_fail("upper_bound", s.index, x, detail))
         prev = s.set
-    return InvariantReport(tuple(invariants + _trace_invariants(trace))), tuple(decompositions), tuple(upper_bounds)
+    stages = trace.stages
+    upper_bounds = tuple(_run_bound(stages[a:b], x, r)
+                         for a, b in zip(starts, [*starts[1:], len(stages)]) for x, r in bounds)
+    return InvariantReport(tuple(invariants + _trace_invariants(trace))), tuple(decompositions), upper_bounds

@@ -22,12 +22,15 @@ from repbasis import (
 from repbasis.errors import require_int
 
 A = FiniteBasis((1, 2))
+# f = 1 on the window |n| <= 2 but f(1) = 3, and 2 outside it
+F = RepTarget(2, {-2: 1, -1: 1, 0: 1, 1: 3, 2: 1}, 2)
 
 # entry -> (call with the refused value, error class, least in the message)
 ENTRIES = {
     "upper_bound_check x": (lambda v: upper_bound_check(A, v, 1), PreconditionViolatedError, 0),
     "upper_bound_check r": (lambda v: upper_bound_check(A, 2, v), PreconditionViolatedError, 0),
     "rep_function n": (lambda v: rep_function(A, v), PreconditionViolatedError, None),
+    "RepTarget.value n": (lambda v: F.value(v), PreconditionViolatedError, None),
     "SidonLadder.advance n": (lambda v: SidonLadder().advance(v), ValueError, None),
     "SidonLadder.advance_to_growth limit": (lambda v: SidonLadder().advance_to_growth(v), ValueError, None),
     "SidonSet ambient_n": (lambda v: SidonSet((), v), ValueError, None),
@@ -52,6 +55,11 @@ def test_the_calls_that_once_read_a_float_or_a_bool_as_a_number():
         rep_function(FiniteBasis((1, 2)), 3.0)
     with pytest.raises(ValueError, match=r"^Sidon bound n must be an integer, got 10\.5$"):
         SidonLadder().advance(10.5)
+    # a non-integer inside the window once raised a bare KeyError, one
+    # outside it read the default, and True read f(1)
+    for n in (0.5, 7.5, True):
+        with pytest.raises(PreconditionViolatedError, match=f"^n must be an integer, got {n}$"):
+            F.value(n)
 
 
 def test_integer_arguments_still_answer():
@@ -59,6 +67,7 @@ def test_integer_arguments_still_answer():
     with pytest.raises(PreconditionViolatedError, match="^x must be an integer >= 0, got -1$"):
         upper_bound_check(A, -1, 1)
     assert rep_function(A, 3) == 1 and rep_function(A, -3) == 0
+    assert F.value(1) == 3 and F.value(-7) == 2  # inside and outside the window
     ladder = SidonLadder()
     with pytest.raises(ValueError):
         ladder.advance(10.5)

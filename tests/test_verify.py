@@ -300,8 +300,8 @@ class TestVerifyTrace:
         assert report.failures() == []
         assert len(report.decompositions) == 2
         assert {idx for idx, _ in report.decompositions} == {2, 3}
-        # 3 stage sets, 2 checkpoints, finite prescription everywhere
-        assert len(report.upper_bounds) == 6
+        # 3 nested stages make one run; 2 checkpoints, finite prescription everywhere
+        assert len(report.upper_bounds) == 2
         payload = report.to_dict()
         assert json.loads(json.dumps(payload)) == payload
 
@@ -309,8 +309,8 @@ class TestVerifyTrace:
         f = RepTarget(0, {0: INFINITY}, 1)
         report = verify_trace(build(f, LOG2, 1))
         assert report.passed
-        # max finite value over every window is the default 1
-        assert len(report.upper_bounds) == 6
+        # max finite value over every window is the default 1; one run
+        assert len(report.upper_bounds) == 2
 
     def test_failures_surface_in_bundle(self, pow_trace_dict):
         data = copy.deepcopy(pow_trace_dict)
@@ -337,9 +337,8 @@ class TestVerifyTrace:
         report = verify_trace(trace_from_dict(data))
         # k = 4 elements in [-2, 2], k(k+1)/2 = 10 > 1 * (4*2 + 1)
         assert [(c.stage, c.witness, c.passed) for c in report.upper_bounds] == [(1, 2, False)]
-        assert "upper_bound stage=1 witness=2: k=4, k(k+1)/2=10, bound r(4x+1)=9" in (
-            report.failures()
-        )
+        assert ("upper_bound stage=1 witness=2: stages 1-1: k=4, k(k+1)/2=10, bound r(4x+1)=9; "
+                "stages 1-1 fail") in report.failures()
 
     def test_base_stage_names_the_smallest_mismatch(self):
         trace = trace_from_dict(BASE_MISMATCH)
@@ -354,28 +353,39 @@ class TestVerifyTrace:
 
 
 def _bundle_from_oracles(trace) -> dict:
-    """verify_trace's report, assembled from the public oracles one by one."""
-    decompositions, upper_bounds = [], []
+    """verify_trace's report, assembled from the public oracles one by one.
+    The nested runs come from check_invariants' nesting records, and each
+    run's upper bound is decided at every stage of the run."""
+    invariants = check_invariants(trace).to_dict()
+    decompositions, upper_bounds, runs = [], [], []
     prev = None
     for s in trace.stages:
         if s.kind != KIND_BASE and len(s.added) > 0:
             rep = check_decomposition(prev, s.added, s.kind)
             decompositions.append({"stage": s.index, **rep.to_dict()})
+        nesting = next(c for c in invariants["checks"]
+                       if c["condition"] == "nesting" and c["stage"] == s.index)
+        if prev is None or not nesting["passed"]:
+            runs.append([])
+        runs[-1].append(s)
+        prev = s.set
+    for run in runs:
         for _, x, _ in trace.checkpoints():
             r = trace.f.max_finite(2 * x)
             if r is None:
                 continue
+            failing = [s for s in run if not upper_bound_check(s.set, x, r)]
+            s = failing[0] if failing else run[-1]
             k = counting(s.set, -x, x)
-            ok = upper_bound_check(s.set, x, r)
+            detail = (f"stages {run[0].index}-{run[-1].index}: k={k}, k(k+1)/2={k * (k + 1) // 2}, "
+                      f"bound r(4x+1)={r * (4 * x + 1)}")
             upper_bounds.append({
                 "condition": "upper_bound",
                 "stage": s.index,
-                "passed": ok,
-                "witness": None if ok else x,
-                "detail": f"k={k}, k(k+1)/2={k * (k + 1) // 2}, bound r(4x+1)={r * (4 * x + 1)}",
+                "passed": not failing,
+                "witness": x if failing else None,
+                "detail": detail + (f"; stages {s.index}-{run[-1].index} fail" if failing else ""),
             })
-        prev = s.set
-    invariants = check_invariants(trace).to_dict()
     equality = check_equality_coverage(trace).to_dict()
     passed = (invariants["passed"] and equality["passed"]
               and all(d["passed"] for d in decompositions + upper_bounds))

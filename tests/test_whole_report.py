@@ -2,7 +2,8 @@
 
 The reference re-derives every entry of a verification report with plain
 double loops.  It recounts the pair sums of every stage, and of the old
-set and the union of every decomposition, and it takes no fast path.  A
+set and the union of every decomposition, it decides the upper bound of
+each nested run at every stage of the run, and it takes no fast path.  A
 derandomized property test runs both on one-round and multi-round builds,
 on deep generated traces and on mutated copies of them, and asserts
 byte-identical JSON reports and equal failure lists."""
@@ -12,6 +13,7 @@ import json
 import random
 import sys
 from collections import Counter
+from itertools import product
 from pathlib import Path
 
 import pytest
@@ -28,14 +30,16 @@ from repbasis import (  # noqa: E402
     KIND_EXTENSION,
     MalformedTraceError,
     build,
+    check_invariants,
     density_demand,
     density_exceeds,
     target_prefix,
     trace_from_dict,
     trace_to_dict,
+    upper_bound_check,
     verify_trace,
 )
-from repbasis.trace import validate_trace_structure  # noqa: E402
+from repbasis.trace import expected_kind, validate_trace_structure  # noqa: E402
 
 # the benchmark's generator of deep valid traces (f = 1, phi = pow:9/20)
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
@@ -132,7 +136,7 @@ def _decomposition(A, added, kind):
                                 f"rep count at n={n} is {actual[n]}, piecewise formula gives {expected}"))
             break
     else:
-        checks.append(_ok("piecewise_formula", None, "piecewise counts match brute force"))
+        checks.append(_ok("piecewise_formula", None, "piecewise counts match the union's pair counts"))
     return {"kind": kind, "passed": all(c["passed"] for c in checks), "checks": checks}
 
 
@@ -141,7 +145,7 @@ def reference_report(trace) -> dict:
     validate_trace_structure(trace)
     f, stages = trace.f, trace.stages
     checkpoints = [(s.index, s.x) for s in stages if s.x is not None]
-    invariants, decompositions, upper_bounds, all_counts = [], [], [], []
+    invariants, decompositions, upper_bounds, all_counts, runs = [], [], [], [], []
     prev = None
     for s in stages:
         if s.kind != KIND_BASE and len(s.added) > 0:
@@ -152,16 +156,28 @@ def reference_report(trace) -> dict:
             decompositions.append({"stage": s.index, **report})
         counts = _pair_counts(s.set.elements)
         all_counts.append(counts)
-        invariants += _stage_checks(trace, s, prev, counts)
+        checks = _stage_checks(trace, s, prev, counts)
+        invariants += checks
+        # stage 1 and every stage whose nesting check fails open a run
+        if prev is None or not checks[1]["passed"]:
+            runs.append([])
+        runs[-1].append(s)
+        prev = s.set
+    for run in runs:
         for _, x in checkpoints:
             r = f.max_finite(2 * x)
-            if r is not None:
-                k = _inside(s.set.elements, x)
-                detail = f"k={k}, k(k+1)/2={k * (k + 1) // 2}, bound r(4x+1)={r * (4 * x + 1)}"
-                upper_bounds.append(_ok("upper_bound", s.index, detail)
-                                    if k * (k + 1) // 2 <= r * (4 * x + 1)
-                                    else _fail("upper_bound", s.index, x, detail))
-        prev = s.set
+            if r is None:
+                continue
+            slots = r * (4 * x + 1)
+            inside = [_inside(s.set.elements, x) for s in run]
+            failing = [i for i, k in enumerate(inside) if k * (k + 1) // 2 > slots]
+            t = failing[0] if failing else len(run) - 1
+            s, k = run[t], inside[t]
+            detail = (f"stages {run[0].index}-{run[-1].index}: k={k}, k(k+1)/2={k * (k + 1) // 2}, "
+                      f"bound r(4x+1)={slots}")
+            upper_bounds.append(_fail("upper_bound", s.index, x,
+                                      f"{detail}; stages {s.index}-{run[-1].index} fail")
+                                if failing else _ok("upper_bound", s.index, detail))
     late = [(idx, x) for (_, x_prev), (idx, x) in zip(checkpoints, checkpoints[1:]) if x <= x_prev]
     invariants.append(_fail("checkpoint_monotone", late[0][0], late[0][1], f"checkpoint "
                             f"x={late[0][1]} does not increase") if late
@@ -362,3 +378,103 @@ def test_49_stage_trace_with_a_drop_at_stage_25():
     assert _verify_trace(trace) == _reference(trace)
     named = reference_report(trace)["invariants"]["checks"]
     assert expected in {(c["condition"], c["stage"], c["witness"]) for c in named if not c["passed"]}
+
+
+def _nested_runs(trace):
+    """The stages of each maximal nested run, read from check_invariants'
+    nesting records: stage 1 and every stage whose check fails open one."""
+    nested = {c.stage: c.passed for c in check_invariants(trace).checks if c.condition == "nesting"}
+    runs = []
+    for s in trace.stages:
+        if not runs or not nested[s.index]:
+            runs.append([])
+        runs[-1].append(s)
+    return runs
+
+
+def _assert_upper_bounds_are_exact(trace):
+    """Each (run, checkpoint) record against upper_bound_check at every
+    stage of the run: it fails exactly when some stage fails, it names the
+    smallest such stage, and every later stage of the run fails too."""
+    bounds = [(x, r) for _, x, _ in trace.checkpoints() if (r := trace.f.max_finite(2 * x)) is not None]
+    runs = _nested_runs(trace)
+    records = verify_trace(trace).upper_bounds
+    assert len(records) == len(runs) * len(bounds)
+    for record, (run, (x, r)) in zip(records, product(runs, bounds)):
+        failing = [s.index for s in run if not upper_bound_check(s.set, x, r)]
+        assert record.passed == (not failing)
+        assert record.stage == (failing[0] if failing else run[-1].index)
+        assert record.witness == (x if failing else None)
+        assert failing == [s.index for s in run if failing and s.index >= failing[0]]
+        assert record.detail.startswith(f"stages {run[0].index}-{run[-1].index}: ")
+
+
+@pytest.mark.parametrize("edit", ["unedited", *sorted(EDITS)])
+def test_each_upper_bound_record_is_exact_for_each_edit_of_each_trace(edit):
+    for data in CORPUS:
+        data = copy.deepcopy(data)
+        EDITS.get(edit, lambda data, rng: None)(data, random.Random(1))
+        try:
+            trace = trace_from_dict(data)
+            validate_trace_structure(trace)
+        except MalformedTraceError:
+            continue
+        _assert_upper_bounds_are_exact(trace)
+
+
+def _chain(added, drop=None, onward=True):
+    """A five-stage trace under f = 1 whose stages adjoin the lists of
+    `added` in turn, with checkpoints 2, 50 and 1000.  drop = (stage, e)
+    takes e out of that stage's set, and out of every later one when
+    onward, so that stage's nesting check fails (and without onward, the
+    next stage's too, as it holds e again without adding it)."""
+    stages, current = [], set()
+    for index, new in enumerate(added, start=1):
+        current |= set(new)
+        stage = {"index": index, "kind": expected_kind(index), "set": sorted(current), "added": sorted(new)}
+        if index % 2:
+            stage["x"] = (2, 50, 1000)[index // 2]
+        stages.append(stage)
+    if drop:
+        at, e = drop
+        for stage in stages[at - 1:] if onward else [stages[at - 1]]:
+            stage["set"].remove(e)
+    return trace_from_dict({"f": F_ONES.to_dict(), "phi": "log2",
+                            "u_prefix": target_prefix(F_ONES, 3), "stages": stages})
+
+
+# r = 1 at every checkpoint, so x = 2 allows k(k+1)/2 <= 9: three elements
+# in [-2, 2] fit and four do not; x = 50 and x = 1000 are never broken
+CHAINS = {
+    "first_stage": (_chain([[-2, -1, 1, 2], [10, 20], [30], [], [40]]),
+                    [(1, False), (5, True), (5, True)]),
+    "middle": (_chain([[1], [2, 100], [-1, -2], [], [200]]),
+               [(3, False), (5, True), (5, True)]),
+    "last_stage": (_chain([[1], [2, 100], [300], [], [-1, -2]]),
+                   [(5, False), (5, True), (5, True)]),
+    # stage 3 loses -2 for good: runs 1-2, which fails at stage 2, and 3-5,
+    # which passes, though the chain's last stage alone would pass both
+    "split": (_chain([[1, -2], [-1, 2], [300], [], [400]], drop=(3, -2)),
+              [(2, False), (2, True), (2, True), (5, True), (5, True), (5, True)]),
+    # only stage 3 lacks -2: runs 1-2, 3 (of length 1) and 4-5
+    "length_one": (_chain([[1, -2], [-1, 2], [300], [], [400]], drop=(3, -2), onward=False),
+                   [(2, False), (2, True), (2, True), (3, True), (3, True), (3, True),
+                    (4, False), (5, True), (5, True)]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CHAINS))
+def test_hand_made_runs_fail_at_their_first_failing_stage(name):
+    trace, expected = CHAINS[name]
+    records = verify_trace(trace).upper_bounds
+    assert [(c.stage, c.passed) for c in records] == expected
+    _assert_upper_bounds_are_exact(trace)
+    assert json.dumps(verify_trace(trace).to_dict()) == json.dumps(reference_report(trace))
+
+
+def test_a_failing_record_names_its_run_and_the_stages_that_fail():
+    report = verify_trace(CHAINS["middle"][0])
+    assert report.upper_bounds[0].witness == 2
+    assert ("upper_bound stage=3 witness=2: stages 1-5: k=4, k(k+1)/2=10, bound r(4x+1)=9; "
+            "stages 3-5 fail") in report.failures()
+    assert report.upper_bounds[1].detail == "stages 1-5: k=4, k(k+1)/2=10, bound r(4x+1)=201"
