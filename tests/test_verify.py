@@ -352,24 +352,29 @@ class TestVerifyTrace:
         assert report.upper_bounds == ()
 
 
+def _nested_runs(trace):
+    """The stages of each maximal nested run, read from check_invariants'
+    nesting records: stage 1 and every stage whose check fails open one."""
+    nested = {c.stage: c.passed for c in check_invariants(trace).checks if c.condition == "nesting"}
+    runs = []
+    for s in trace.stages:
+        if not runs or not nested[s.index]:
+            runs.append([])
+        runs[-1].append(s)
+    return runs
+
+
 def _bundle_from_oracles(trace) -> dict:
-    """verify_trace's report, assembled from the public oracles one by one.
-    The nested runs come from check_invariants' nesting records, and each
-    run's upper bound is decided at every stage of the run."""
-    invariants = check_invariants(trace).to_dict()
-    decompositions, upper_bounds, runs = [], [], []
+    """verify_trace's report, assembled from the public oracles one by one;
+    each nested run's upper bound is decided at every stage of the run."""
+    decompositions, upper_bounds = [], []
     prev = None
     for s in trace.stages:
         if s.kind != KIND_BASE and len(s.added) > 0:
             rep = check_decomposition(prev, s.added, s.kind)
             decompositions.append({"stage": s.index, **rep.to_dict()})
-        nesting = next(c for c in invariants["checks"]
-                       if c["condition"] == "nesting" and c["stage"] == s.index)
-        if prev is None or not nesting["passed"]:
-            runs.append([])
-        runs[-1].append(s)
         prev = s.set
-    for run in runs:
+    for run in _nested_runs(trace):
         for _, x, _ in trace.checkpoints():
             r = trace.f.max_finite(2 * x)
             if r is None:
@@ -386,6 +391,7 @@ def _bundle_from_oracles(trace) -> dict:
                 "witness": x if failing else None,
                 "detail": detail + (f"; stages {s.index}-{run[-1].index} fail" if failing else ""),
             })
+    invariants = check_invariants(trace).to_dict()
     equality = check_equality_coverage(trace).to_dict()
     passed = (invariants["passed"] and equality["passed"]
               and all(d["passed"] for d in decompositions + upper_bounds))

@@ -22,7 +22,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from test_verify import BUILT, F_ONES, F_TWOS, F_ZEROS  # noqa: E402
+from test_verify import BUILT, F_ONES, F_TWOS, F_ZEROS, _nested_runs  # noqa: E402
 
 from repbasis import (  # noqa: E402
     INFINITY,
@@ -30,7 +30,6 @@ from repbasis import (  # noqa: E402
     KIND_EXTENSION,
     MalformedTraceError,
     build,
-    check_invariants,
     density_demand,
     density_exceeds,
     target_prefix,
@@ -378,18 +377,6 @@ def test_49_stage_trace_with_a_drop_at_stage_25():
     assert _verify_trace(trace) == _reference(trace)
     named = reference_report(trace)["invariants"]["checks"]
     assert expected in {(c["condition"], c["stage"], c["witness"]) for c in named if not c["passed"]}
-
-
-def _nested_runs(trace):
-    """The stages of each maximal nested run, read from check_invariants'
-    nesting records: stage 1 and every stage whose check fails open one."""
-    nested = {c.stage: c.passed for c in check_invariants(trace).checks if c.condition == "nesting"}
-    runs = []
-    for s in trace.stages:
-        if not runs or not nested[s.index]:
-            runs.append([])
-        runs[-1].append(s)
-    return runs
 
 
 def _assert_upper_bounds_are_exact(trace):
