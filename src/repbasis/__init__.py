@@ -1,9 +1,10 @@
 """Staged construction of additive bases with prescribed representation
 counts, plus exhaustive verification of every step."""
 
+from types import ModuleType as _ModuleType
+
 from .construct import (
     DEFAULT_SEARCH_CAP,
-    SEARCH_CAP_ENV,
     base_case,
     build,
     densify,
@@ -70,59 +71,6 @@ from .verify import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CheckResult",
-    "ConstructionTrace",
-    "DecompositionReport",
-    "DensityUnreachableError",
-    "DEFAULT_SEARCH_CAP",
-    "EmptySetError",
-    "EqualityReport",
-    "FiniteBasis",
-    "INFINITY",
-    "InputTooLargeError",
-    "InputTooSmallError",
-    "InvariantReport",
-    "KIND_BASE",
-    "KIND_DENSIFICATION",
-    "KIND_EXTENSION",
-    "MalformedTraceError",
-    "PhiSpec",
-    "PhiTooSlowError",
-    "PreconditionViolatedError",
-    "RepTarget",
-    "RepbasisError",
-    "SEARCH_CAP_ENV",
-    "SidonLadder",
-    "SidonSet",
-    "StageRecord",
-    "TargetSequence",
-    "VerificationReport",
-    "base_case",
-    "build",
-    "check_decomposition",
-    "check_equality_coverage",
-    "check_invariants",
-    "counting",
-    "d0_of",
-    "densify",
-    "density_demand",
-    "density_exceeds",
-    "erdos_turan_sidon",
-    "extend_target",
-    "greedy_sidon",
-    "is_sidon",
-    "rep_function",
-    "rep_profile",
-    "resolve_search_cap",
-    "sidon_for_density",
-    "sum_counter",
-    "target_prefix",
-    "trace_dumps",
-    "trace_from_dict",
-    "trace_loads",
-    "trace_to_dict",
-    "upper_bound_check",
-    "validate_trace_structure",
-    "verify_trace",
-]
+# every public name bound above, the submodules aside
+__all__ = sorted(name for name, value in globals().items()
+                 if not name.startswith("_") and not isinstance(value, _ModuleType))

@@ -6,26 +6,25 @@ stage adjoins a dilated Sidon set so the element count inside [-x, x]
 beats sqrt(x)/phi(x) at a recorded checkpoint x.  Both moves keep every
 pair-sum count at or below the prescribed bound f, so `build` runs them
 directly; the public `extend_target` and `densify` check their inputs first.
-This module holds the search cap, the moves and `build`; the trace types
-and the trace text live in `trace`.
+This module holds the search cap, the moves, the Lindström abort
+certificate and `build`; the trace types and the trace text live in `trace`.
 """
 
 from __future__ import annotations
 
 import math
-import os
 from collections import Counter
 
-from .errors import PhiTooSlowError, PreconditionViolatedError, echo, require_int
+from .errors import PhiTooSlowError, PreconditionViolatedError, require_int
 from .repcore import (
     FiniteBasis,
     PhiSpec,
     RepTarget,
     TargetSequence,
+    _density_demand,
     counting,
     d0_of,
     density_exceeds,
-    density_out_of_reach,
     rep_function,
     sum_counter,
     target_prefix,
@@ -37,20 +36,11 @@ from .trace import ConstructionTrace, StageRecord
 from .trace import trace_dumps, trace_loads  # noqa: F401
 
 DEFAULT_SEARCH_CAP = 10**9
-SEARCH_CAP_ENV = "REPBASIS_SEARCH_CAP"
 
 
 def resolve_search_cap(cap: int | None = None) -> int:
-    """Explicit argument, else the REPBASIS_SEARCH_CAP env var, else 10**9."""
-    if cap is None:
-        raw = os.environ.get(SEARCH_CAP_ENV)
-        if raw is None:
-            return DEFAULT_SEARCH_CAP
-        try:
-            cap = int(raw)
-        except ValueError:
-            raise ValueError(f"{SEARCH_CAP_ENV} must be an integer >= 1, got {echo(raw)}") from None
-    return require_int(cap, "search cap", 1)
+    """The explicit cap, an integer >= 1, else 10**9."""
+    return DEFAULT_SEARCH_CAP if cap is None else require_int(cap, "search cap", 1)
 
 
 def _as_phi(phi: PhiSpec | str) -> PhiSpec:
@@ -81,6 +71,17 @@ def _reject_bad_pair_counts(A: FiniteBasis, f: RepTarget, context: str) -> Count
 def _reject_zero_member(A: FiniteBasis, context: str) -> None:
     if 0 in A:
         raise PreconditionViolatedError(f"{context}: 0 must not be an element", witness=0)
+
+
+def density_out_of_reach(count: int, lo_x, hi_x, phi: PhiSpec) -> bool:
+    """True only when no count up to `count` beats sqrt(x)/phi(x) for any x
+    in [lo_x, hi_x], 1 <= lo_x, where the bar increases.  The float bar is
+    trusted only below x = 2**2048 (past it the bar is taken in log space,
+    with an error growing with x) and below 2**40, where its error is far
+    under the +1 of slack given to count; elsewhere the answer is False."""
+    # bit_length, as 2**2048 is not folded into a constant and costs 2 us
+    trusted = hi_x.bit_length() <= 2048 and _density_demand(hi_x, phi) < 2**40
+    return trusted and not density_exceeds(count + 1, lo_x, phi)
 
 
 def _lindstrom_last(phi: PhiSpec, scale: int, extra_count: int, limit: int) -> int:

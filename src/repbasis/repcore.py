@@ -405,12 +405,22 @@ def real_sqrt(x) -> float:
 
 
 def density_demand(x, phi: PhiSpec) -> float:
-    """The bar sqrt(x)/phi(x) that a count must strictly exceed.
+    """The bar sqrt(x)/phi(x) that a count must strictly exceed, for an
+    integer x >= 1.
 
     Once sqrt(x) passes the float range the bar is taken in log space, and
     it is math.inf only when the bar itself passes the float range: no
     count a finite set can hold comes near it, so no verdict turns on it.
     """
+    # a number below 1 is named by the bar's own message, anything else
+    # that is not an int by the integer rule
+    below_one = isinstance(x, (int, float)) and x < 1
+    return _density_demand(x if below_one else require_int(x, "x", 1), phi)
+
+
+def _density_demand(x, phi: PhiSpec) -> float:
+    """density_demand without the integer check, for density_exceeds, which
+    the scans call once per tested n."""
     if x < 1:
         raise ValueError(f"the density bar is defined for x >= 1, got x={x}")
     root = real_sqrt(x)
@@ -425,15 +435,4 @@ def density_demand(x, phi: PhiSpec) -> float:
 
 def density_exceeds(count: int, x, phi: PhiSpec) -> bool:
     """Strict count > sqrt(x)/phi(x), trusted only past the float margin."""
-    return count > density_demand(x, phi) + DENSITY_MARGIN
-
-
-def density_out_of_reach(count: int, lo_x, hi_x, phi: PhiSpec) -> bool:
-    """True only when no count up to `count` beats sqrt(x)/phi(x) for any x
-    in [lo_x, hi_x], 1 <= lo_x, where the bar increases.  The float bar is
-    trusted only below x = 2**2048 (past it the bar is taken in log space,
-    with an error growing with x) and below 2**40, where its error is far
-    under the +1 of slack given to count; elsewhere the answer is False."""
-    # bit_length, as 2**2048 is not folded into a constant and costs 2 us
-    trusted = hi_x.bit_length() <= 2048 and density_demand(hi_x, phi) < 2**40
-    return trusted and not density_exceeds(count + 1, lo_x, phi)
+    return count > _density_demand(x, phi) + DENSITY_MARGIN

@@ -47,23 +47,19 @@ POW14 = PhiSpec.parse("pow:1/4")
 
 
 class TestSearchCap:
-    def test_default(self, monkeypatch):
-        monkeypatch.delenv("REPBASIS_SEARCH_CAP", raising=False)
+    def test_default(self):
         assert resolve_search_cap() == DEFAULT_SEARCH_CAP
 
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv("REPBASIS_SEARCH_CAP", "500")
-        assert resolve_search_cap() == 500
-
-    def test_explicit_beats_env(self, monkeypatch):
-        monkeypatch.setenv("REPBASIS_SEARCH_CAP", "500")
+    def test_the_environment_sets_no_cap(self, monkeypatch):
+        monkeypatch.setenv("REPBASIS_SEARCH_CAP", "10")
+        assert resolve_search_cap() == 10**9
         assert resolve_search_cap(100) == 100
 
     @pytest.mark.parametrize("raw", ["abc", "0", "-3", "2.5"])
     def test_bad_env_value(self, monkeypatch, raw):
+        """Nor is a value there that is no integer >= 1 refused."""
         monkeypatch.setenv("REPBASIS_SEARCH_CAP", raw)
-        with pytest.raises(ValueError):
-            resolve_search_cap()
+        assert resolve_search_cap() == DEFAULT_SEARCH_CAP
 
     @pytest.mark.parametrize("cap", [0, -5, True, 2.5])
     def test_bad_explicit_value(self, cap):

@@ -10,11 +10,13 @@ import pytest
 from repbasis import (
     FiniteBasis,
     MalformedTraceError,
+    PhiSpec,
     PreconditionViolatedError,
     RepTarget,
     SidonLadder,
     SidonSet,
     build,
+    density_demand,
     rep_function,
     upper_bound_check,
     verify_trace,
@@ -31,6 +33,7 @@ ENTRIES = {
     "upper_bound_check r": (lambda v: upper_bound_check(A, 2, v), PreconditionViolatedError, 0),
     "rep_function n": (lambda v: rep_function(A, v), PreconditionViolatedError, None),
     "RepTarget.value n": (lambda v: F.value(v), PreconditionViolatedError, None),
+    "density_demand x": (lambda v: density_demand(v, PhiSpec.parse("log2")), ValueError, 1),
     "SidonLadder.advance n": (lambda v: SidonLadder().advance(v), ValueError, None),
     "SidonLadder.advance_to_growth limit": (lambda v: SidonLadder().advance_to_growth(v), ValueError, None),
     "SidonSet ambient_n": (lambda v: SidonSet((), v), ValueError, None),

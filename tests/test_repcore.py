@@ -30,7 +30,8 @@ from repbasis import (
     target_prefix,
 )
 from repbasis import construct, repcore
-from repbasis.repcore import density_out_of_reach, real_sqrt
+from repbasis.construct import density_out_of_reach
+from repbasis.repcore import real_sqrt
 
 
 def basis(*els):
