@@ -15,13 +15,12 @@ from __future__ import annotations
 import math
 from collections import Counter
 
-from .errors import PhiTooSlowError, PreconditionViolatedError, require_int
+from .errors import PhiTooSlowError, PreconditionViolatedError, require_int, require_type
 from .repcore import (
     FiniteBasis,
     PhiSpec,
     RepTarget,
     TargetSequence,
-    _density_demand,
     counting,
     d0_of,
     density_exceeds,
@@ -51,11 +50,6 @@ def _as_phi(phi: PhiSpec | str) -> PhiSpec:
     return phi
 
 
-def _require_type(value, cls: type, name: str) -> None:
-    if not isinstance(value, cls):
-        raise TypeError(f"{name} must be a {cls.__name__}, got {type(value).__name__}")
-
-
 def _reject_bad_pair_counts(A: FiniteBasis, f: RepTarget, context: str) -> Counter:
     counts = sum_counter(A)
     for n in sorted(counts):
@@ -73,32 +67,31 @@ def _reject_zero_member(A: FiniteBasis, context: str) -> None:
         raise PreconditionViolatedError(f"{context}: 0 must not be an element", witness=0)
 
 
-def density_out_of_reach(count: int, lo_x, hi_x, phi: PhiSpec) -> bool:
-    """True only when no count up to `count` beats sqrt(x)/phi(x) for any x
-    in [lo_x, hi_x], 1 <= lo_x, where the bar increases.  The float bar is
-    trusted only below x = 2**2048 (past it the bar is taken in log space,
-    with an error growing with x) and below 2**40, where its error is far
-    under the +1 of slack given to count; elsewhere the answer is False."""
-    # bit_length, as 2**2048 is not folded into a constant and costs 2 us
-    trusted = hi_x.bit_length() <= 2048 and _density_demand(hi_x, phi) < 2**40
-    return trusted and not density_exceeds(count + 1, lo_x, phi)
-
-
 def _lindstrom_last(phi: PhiSpec, scale: int, extra_count: int, limit: int) -> int:
     """Largest n <= limit, to within a dyadic block, that Lindström's bound
     cannot rule out; 0 when it rules out every n in [1, limit].
 
     Every Sidon set in [1, n] has fewer than sqrt(n) + n**(1/4) + 1 elements
     (Lindström 1969), so for n in a block [lo, hi] the count is at most
-    extra_count + s + ceil(sqrt(s)) with s = ceil(sqrt(hi)).  The block is
-    ruled out when that count is out of reach for x in [scale*lo, scale*hi].
+    extra_count + s + ceil(sqrt(s)) with s = ceil(sqrt(hi)).  The bar
+    sqrt(x)/phi(x) increases, so the block is ruled out when that count is
+    at most the bar at x = scale*lo.  Below x = 2**2047 the count and phi(x)
+    are floats, and phi(x) is off by less than about 3e-13 of itself (the
+    exponent `pow` takes stays below 710), so y = count*phi(x)*(1 + 2**-40)
+    is at least count*phi(x), and y*y <= x, a float against an integer and
+    so exact, proves count <= sqrt(x)/phi(x).
     """
     hi = limit
     while hi >= 1:
         lo = 1 << (hi.bit_length() - 1)
         s = math.isqrt(hi - 1) + 1  # ceil(sqrt(hi))
         t = math.isqrt(s - 1) + 1  # ceil(sqrt(s))
-        if not density_out_of_reach(extra_count + s + t, scale * lo, scale * hi, phi):
+        x = scale * lo
+        # from x = 2**2047 on the count or pow's phi(x) leaves the float range;
+        # y = inf there, like an overflow of y*y, rules nothing out (bit_length,
+        # as 2**2047 is not folded into a constant and costs 2 us)
+        y = (extra_count + s + t) * phi.evaluate(x) * (1 + 2**-40) if x.bit_length() < 2048 else math.inf
+        if y * y > x:
             return hi
         hi = lo - 1
     return 0
@@ -147,7 +140,7 @@ def base_case(
     Scans n = 1, 2, ... and keeps the first stage whose element count in
     [-x, x], x = 3*alpha*n, strictly beats sqrt(x)/phi(x).
     """
-    _require_type(f, RepTarget, "f")
+    require_type(f, RepTarget, "f")
     phi = _as_phi(phi)
     cap = resolve_search_cap(search_cap)
     u1 = target_prefix(f, 1)[0]
@@ -196,8 +189,8 @@ def extend_target(A: FiniteBasis, f: RepTarget, u: TargetSequence, m: int) -> Fi
     offending integer as witness.  When u_{m+1} is already covered the
     set is returned unchanged.
     """
-    _require_type(f, RepTarget, "f")
-    _require_type(u, TargetSequence, "u")
+    require_type(f, RepTarget, "f")
+    require_type(u, TargetSequence, "u")
     prefix = u.prefix(require_int(m, "m", 0) + 1)
     _reject_zero_member(A, "extension")
     counts = _reject_bad_pair_counts(A, f, "extension")
@@ -228,7 +221,7 @@ def densify(
     whose counted density clears the bar is kept.  Requires that A never
     exceeds f and omits 0.  Returns (B, x).
     """
-    _require_type(f, RepTarget, "f")
+    require_type(f, RepTarget, "f")
     phi = _as_phi(phi)
     cap = resolve_search_cap(search_cap)
     require_int(M, "densification: M", 1, PreconditionViolatedError)
@@ -256,7 +249,7 @@ def build(
     phi may be given as a spec string such as "log2" or "pow:1/4".
     """
     require_int(L, "stage count L", 1)
-    _require_type(f, RepTarget, "f")
+    require_type(f, RepTarget, "f")
     phi = _as_phi(phi)
     cap = resolve_search_cap(search_cap)
     u_prefix = tuple(target_prefix(f, L + 1))

@@ -1,5 +1,6 @@
 """Exception types shared across the package, the bounded repr their
-messages name a refused value by, and the one rule for integer arguments."""
+messages name a refused value by, and the one rule each for integer and
+typed arguments."""
 
 
 class RepbasisError(Exception):
@@ -62,4 +63,12 @@ def require_int(value, what: str, least: int | None = None, error: type[Exceptio
     if isinstance(value, bool) or not isinstance(value, int) or (least is not None and value < least):
         bound = "" if least is None else f" >= {least}"
         raise error(f"{what} must be an integer{bound}, got {echo(value)}")
+    return value
+
+
+def require_type(value, cls: type, what: str, error: type[Exception] = TypeError):
+    """value, when it is an instance of cls; otherwise error with the one
+    message shape "<what> must be a <cls name>, got <type name>"."""
+    if not isinstance(value, cls):
+        raise error(f"{what} must be a {cls.__name__}, got {type(value).__name__}")
     return value

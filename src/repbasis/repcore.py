@@ -17,7 +17,7 @@ from fractions import Fraction
 from itertools import chain
 from typing import Iterable, Iterator, Mapping
 
-from .errors import EmptySetError, InputTooLargeError, PreconditionViolatedError, echo, require_int
+from .errors import EmptySetError, InputTooLargeError, PreconditionViolatedError, echo, require_int, require_type
 
 # Sentinel for "no finite bound at this n".  A plain float keeps min(),
 # comparisons and JSON handling unsurprising.
@@ -202,8 +202,7 @@ class FiniteBasis:
 
 
 def _require_basis(A) -> None:
-    if not isinstance(A, FiniteBasis):
-        raise PreconditionViolatedError(f"A must be a FiniteBasis, got {type(A).__name__}")
+    require_type(A, FiniteBasis, "A", PreconditionViolatedError)
 
 
 def rep_function(A: FiniteBasis, n: int) -> int:
@@ -412,15 +411,19 @@ def density_demand(x, phi: PhiSpec) -> float:
     it is math.inf only when the bar itself passes the float range: no
     count a finite set can hold comes near it, so no verdict turns on it.
     """
-    # a number below 1 is named by the bar's own message, anything else
-    # that is not an int by the integer rule
+    return _density_demand(_bar_x(x), phi)
+
+
+def _bar_x(x):
+    """x, when it is an int; a number below 1 passes on to the bar's own
+    message, and anything else is refused by the integer rule."""
     below_one = isinstance(x, (int, float)) and x < 1
-    return _density_demand(x if below_one else require_int(x, "x", 1), phi)
+    return x if below_one else require_int(x, "x", 1)
 
 
 def _density_demand(x, phi: PhiSpec) -> float:
     """density_demand without the integer check, for density_exceeds, which
-    the scans call once per tested n."""
+    the scans call once per tested n with an int x."""
     if x < 1:
         raise ValueError(f"the density bar is defined for x >= 1, got x={x}")
     root = real_sqrt(x)
@@ -434,5 +437,8 @@ def _density_demand(x, phi: PhiSpec) -> float:
 
 
 def density_exceeds(count: int, x, phi: PhiSpec) -> bool:
-    """Strict count > sqrt(x)/phi(x), trusted only past the float margin."""
-    return count > _density_demand(x, phi) + DENSITY_MARGIN
+    """Strict count > sqrt(x)/phi(x) for an integer count and an integer
+    x >= 1, trusted only past the float margin."""
+    if type(count) is not int:  # the scans pass ints, so they skip both checks
+        require_int(count, "count")
+    return count > _density_demand(x if type(x) is int else _bar_x(x), phi) + DENSITY_MARGIN

@@ -22,7 +22,7 @@ import sys
 from dataclasses import dataclass
 from json.encoder import c_make_encoder, encode_basestring_ascii
 
-from .errors import MalformedTraceError, echo, require_int
+from .errors import MalformedTraceError, echo, require_int, require_type
 from .repcore import FiniteBasis, PhiSpec, RepTarget, _check_keys, _json_loads
 
 KIND_BASE = "BASE"
@@ -77,19 +77,27 @@ class ConstructionTrace:
         return [(s.index, s.x, s.set) for s in self.stages if s.x is not None]
 
 
-
 def validate_trace_structure(trace: ConstructionTrace) -> None:
     """Shape rules every trace object must satisfy before semantic checks.
 
     Raises MalformedTraceError; semantic violations (densities, coverage,
     nesting) are the verify module's job and come back as report entries.
+    A trace built in memory may hold any object in any field, so the type
+    of each is checked first.
     """
-    stages = trace.stages
+    require_type(trace, ConstructionTrace, "trace", MalformedTraceError)
+    require_type(trace.f, RepTarget, "f", MalformedTraceError)
+    require_type(trace.phi, PhiSpec, "phi", MalformedTraceError)
+    _int_list(trace.u_prefix, "u_prefix", tuple)
+    stages = require_type(trace.stages, tuple, "stages", MalformedTraceError)
     if not stages:
         raise MalformedTraceError("trace has no stages")
     if len(stages) % 2 == 0:
         raise MalformedTraceError("trace must end on a checkpoint stage (odd stage count)")
     for pos, s in enumerate(stages, start=1):
+        require_type(s, StageRecord, f"stage {pos}", MalformedTraceError)
+        require_type(s.set, FiniteBasis, f"stage {pos} set", MalformedTraceError)
+        require_type(s.added, FiniteBasis, f"stage {pos} added", MalformedTraceError)
         if require_int(s.index, f"stage {pos} index", error=MalformedTraceError) != pos:
             raise MalformedTraceError(f"stage at position {pos} carries index {echo(s.index)}")
         if pos % 2 == 0 and len(s.added) not in (0, 2):
@@ -183,9 +191,8 @@ def trace_dumps(trace: ConstructionTrace) -> str:
     return canonical_json(trace_to_dict(trace))
 
 
-def _int_list(raw, what: str) -> list[int]:
-    if not isinstance(raw, list):
-        raise MalformedTraceError(f"{what} must be a list")
+def _int_list(raw, what: str, container: type = list):
+    require_type(raw, container, what, MalformedTraceError)
     if not {int}.issuperset(map(type, raw)):  # one C-level pass; walk only to name the offender
         for v in raw:
             require_int(v, f"{what} entry", error=MalformedTraceError)
@@ -214,10 +221,8 @@ def trace_from_dict(data) -> ConstructionTrace:
     except ValueError as exc:
         raise MalformedTraceError(f"bad phi: {exc}") from None
     u_prefix = tuple(_int_list(data["u_prefix"], "u_prefix"))
-    if not isinstance(data["stages"], list):
-        raise MalformedTraceError("stages must be a list")
     stages = []
-    for pos, raw in enumerate(data["stages"], start=1):
+    for pos, raw in enumerate(require_type(data["stages"], list, "stages", MalformedTraceError), start=1):
         _check_keys(raw, {"index", "kind", "set", "added"}, ("x",), what=f"stage {pos}",
                     error=MalformedTraceError)
         if raw["kind"] != expected_kind(pos):

@@ -1,6 +1,8 @@
 """Stage operations, the full build loop, and trace (de)serialization."""
 
 import dataclasses
+import decimal
+import functools
 import itertools
 import json
 import math
@@ -487,8 +489,8 @@ class TestDensitySearch:
             "clog:1/1000000000000000000000000000000")
 
     def test_matches_per_n_scan(self):
-        # the last phi's demand is never below 2**40, so its scans run without
-        # the early abort; caps over 20000 steps keep the per-n loop fast
+        # the Lindström certificate rules out every n for the last phi, so its
+        # scans abort at once; caps over 20000 steps keep the per-n loop fast
         grid = itertools.product(
             self.PHIS, (1, 7, 24, 90, 500), (0, 2, 9), (None, 4321), (1, 500, 20000, 300000)
         )
@@ -512,23 +514,27 @@ class TestDensitySearch:
             return original(self, n)
 
         monkeypatch.setattr(SidonLadder, "advance", spy)
-        with pytest.raises(PhiTooSlowError) as err:
-            _density_search(PhiSpec.parse("clog:1/100"), 24, 2, None, 10**9, "scan")
-        assert err.value.cap == 10**9
-        assert advanced == []
+        for phi in ("clog:1/100", "clog:1/1000000000000000000000000000000"):
+            with pytest.raises(PhiTooSlowError) as err:
+                _density_search(PhiSpec.parse(phi), 24, 2, None, 10**9, "scan")
+            assert err.value.cap == 10**9
+            assert str(err.value) == (f"scan: no x <= 1000000000 (step 24) reaches "
+                                      f"count > sqrt(x)/phi(x) with phi={phi}")
+            assert advanced == []
 
     def test_lindstrom_last(self):
         # clog:1/100 asks for about 100*sqrt(x)/ln(x), far past any Sidon set
         assert _lindstrom_last(PhiSpec.parse("clog:1/100"), 24, 2, 10**9 // 24) == 0
         assert _lindstrom_last(LOG2, 24, 2, 0) == 0
-        # a demand past 2**40, or one too large for a float, is not trusted
+        # a bar past any float the old rule trusted still rules counts out,
+        # and a limit past the float range leaves its top block open
         tiny = PhiSpec.parse("clog:1/1000000000000000000000000000000")
-        assert _lindstrom_last(tiny, 24, 2, 10**6) == 10**6
+        assert _lindstrom_last(tiny, 24, 2, 10**6) == 0
         assert _lindstrom_last(PhiSpec.parse("pow:49/100"), 1, 0, 10**700) == 10**700
 
 
 def _reference_lindstrom_last(phi, scale, extra_count, limit):
-    """_lindstrom_last as it was written with its own float-trust rule: the
+    """_lindstrom_last as it was written with the float-trust rule: the
     demand is trusted below 2**40 and below x = 2**2048, and a block is
     ruled out when the Lindström count plus one does not beat the demand."""
     hi = limit
@@ -550,6 +556,38 @@ LINDSTROM_PHIS = tuple(
                  "clog:1/1000000000000000000000000000000")
 )
 
+BAR_DIGITS = decimal.Context(prec=80)
+
+
+@functools.cache
+def _decimal_phi(phi, x):
+    """phi(x) to 80 digits."""
+    ln = BAR_DIGITS.ln(BAR_DIGITS.add(x, 2))
+    if phi.kind == "log2":
+        return BAR_DIGITS.divide(ln, BAR_DIGITS.ln(2))
+    if phi.kind == "ln":
+        return ln
+    eps = BAR_DIGITS.divide(phi.parameter.numerator, phi.parameter.denominator)
+    if phi.kind == "clog":
+        return BAR_DIGITS.multiply(eps, ln)
+    return BAR_DIGITS.exp(BAR_DIGITS.multiply(eps, BAR_DIGITS.ln(x)))
+
+
+def _within_bar(count, x, phi):
+    """count <= sqrt(x)/phi(x), decided to 80 digits."""
+    return BAR_DIGITS.multiply(count, _decimal_phi(phi, x)) <= BAR_DIGITS.sqrt(x)
+
+
+def _ruled_out_blocks(scale, extra_count, limit, last):
+    """(count, x) of each block above last: the Lindström count of the block
+    and the x at its low end, which _lindstrom_last compares."""
+    hi = limit
+    while hi > last:
+        lo = 1 << (hi.bit_length() - 1)
+        s = math.isqrt(hi - 1) + 1
+        yield extra_count + s + math.isqrt(s - 1) + 1, scale * lo
+        hi = lo - 1
+
 
 def _demand_edge(phi, scale):
     """A limit L whose demand at x = scale*L is below 2**40 and whose
@@ -568,37 +606,74 @@ def _demand_edge(phi, scale):
 
 
 class TestLindstromLast:
-    """_lindstrom_last, now asking repcore whether a count is out of reach,
-    returns exactly what the version with its own trust rule returned."""
+    """_lindstrom_last is never weaker than the old float-trust rule, and
+    every block it rules out has count <= sqrt(x)/phi(x) in 80-digit
+    decimal arithmetic."""
+
+    @staticmethod
+    def _check(phi, scale, extra, limit):
+        """The number of blocks _lindstrom_last rules out, each checked."""
+        last = _lindstrom_last(phi, scale, extra, limit)
+        assert last <= _reference_lindstrom_last(phi, scale, extra, limit), (phi, scale, extra, limit)
+        ruled_out = 0
+        for count, x in _ruled_out_blocks(scale, extra, limit, last):
+            assert _within_bar(count, x, phi), (phi, scale, extra, limit, x)
+            ruled_out += 1
+        return ruled_out
 
     @pytest.mark.parametrize("phi", LINDSTROM_PHIS, ids=str)
     def test_matches_the_reference(self, phi):
+        # limits reach 10**700, where the count and phi(x) leave the float range
         for scale, extra, limit in itertools.product(
             (1, 24, 90), (0, 2, 9), (0, 1, 10**3, 10**6, 10**9, 10**700)
         ):
-            want = _reference_lindstrom_last(phi, scale, extra, limit)
-            assert _lindstrom_last(phi, scale, extra, limit) == want, (scale, extra, limit)
+            self._check(phi, scale, extra, limit)
 
     def test_demand_on_both_sides_of_the_trust_edge(self):
-        bites = 0
+        ruled_out = 0
         for text in ("log2", "pow:1/4", "clog:1/100", "clog:3"):
             phi = PhiSpec.parse(text)
             for scale, extra in itertools.product((1, 24, 90), (0, 2, 9)):
                 edge = _demand_edge(phi, scale)
                 for limit in (edge - 1, edge, edge + 1, edge + 2):
-                    want = _reference_lindstrom_last(phi, scale, extra, limit)
-                    assert _lindstrom_last(phi, scale, extra, limit) == want, (text, scale, limit)
-                after = _reference_lindstrom_last(phi, scale, extra, edge + 1)
-                bites += _reference_lindstrom_last(phi, scale, extra, edge) != edge == after - 1
-        # clog:1/100 rules out the block below the edge and not the one above
-        assert bites > 0
+                    ruled_out += self._check(phi, scale, extra, limit)
+        assert ruled_out > 1000
 
     def test_x_on_both_sides_of_the_float_edge(self):
         for phi, scale, extra in itertools.product(LINDSTROM_PHIS, (1, 24, 90), (0, 2, 9)):
-            top = 2**2048 // scale
-            for limit in (top - 1, top, top + 1, top + 2):
-                want = _reference_lindstrom_last(phi, scale, extra, limit)
-                assert _lindstrom_last(phi, scale, extra, limit) == want, (phi, scale, limit)
+            for top in (2**1024 // scale, 2**2047 // scale, 2**2048 // scale):
+                for limit in (top - 1, top, top + 1, top + 2):
+                    self._check(phi, scale, extra, limit)
+
+    def test_a_count_just_past_the_bar_is_never_ruled_out(self):
+        # with limit 1 the one block has count extra + 2 at x = scale, so the
+        # certificate decides a count of one's choosing against the bar at x
+        rng = random.Random(24)
+        xs = [rng.randrange(2**(b - 1), 2**b) for b in range(2, 2048, 2)]
+        # the float predicate's false pass and false fail at log2
+        xs += [18446747527977575625, 2623532672738946]
+        tight = 0
+        for phi in LINDSTROM_PHIS:
+            for x in xs:
+                bar = BAR_DIGITS.divide(BAR_DIGITS.sqrt(x), _decimal_phi(phi, x))
+                floor = int(bar)
+                if not 2 <= floor < 2**1000:
+                    continue
+                assert _lindstrom_last(phi, x, floor + 1 - 2, 1) == 1, (phi, x)
+                # the 2**-40 slack leaves open only a count within about
+                # 2e-12 of the bar, while y*y stays below the float range
+                if x < 2**1020 and bar - floor > bar * BAR_DIGITS.create_decimal("1e-11"):
+                    assert _lindstrom_last(phi, x, floor - 2, 1) == 0, (phi, x)
+                    tight += 1
+        assert tight > 500
+
+    def test_strictly_stronger_than_the_trust_rule(self):
+        # the old rule trusted no demand past 2**40, which tiny clog passes at
+        # once, and at step 24 it left n <= 3 open for pow:1/50
+        for text, old in (("clog:1/1000000000000000000000000000000", 41666666), ("pow:1/50", 3)):
+            phi = PhiSpec.parse(text)
+            assert _reference_lindstrom_last(phi, 24, 2, 10**9 // 24) == old
+            assert _lindstrom_last(phi, 24, 2, 10**9 // 24) == 0
 
 
 def _per_sum_reject(A, f, context):

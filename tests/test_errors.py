@@ -16,8 +16,12 @@ from repbasis import (
     SidonLadder,
     SidonSet,
     build,
+    check_equality_coverage,
+    check_invariants,
     density_demand,
+    density_exceeds,
     rep_function,
+    trace_to_dict,
     upper_bound_check,
     verify_trace,
 )
@@ -34,6 +38,8 @@ ENTRIES = {
     "rep_function n": (lambda v: rep_function(A, v), PreconditionViolatedError, None),
     "RepTarget.value n": (lambda v: F.value(v), PreconditionViolatedError, None),
     "density_demand x": (lambda v: density_demand(v, PhiSpec.parse("log2")), ValueError, 1),
+    "density_exceeds count": (lambda v: density_exceeds(v, 10, PhiSpec.parse("log2")), ValueError, None),
+    "density_exceeds x": (lambda v: density_exceeds(1, v, PhiSpec.parse("log2")), ValueError, 1),
     "SidonLadder.advance n": (lambda v: SidonLadder().advance(v), ValueError, None),
     "SidonLadder.advance_to_growth limit": (lambda v: SidonLadder().advance_to_growth(v), ValueError, None),
     "SidonSet ambient_n": (lambda v: SidonSet((), v), ValueError, None),
@@ -88,6 +94,40 @@ def test_an_in_memory_stage_index_or_checkpoint_that_is_not_an_integer_is_refuse
     bad = dataclasses.replace(trace, stages=(stage, *trace.stages[1:]))
     with pytest.raises(MalformedTraceError, match=f"^stage 1 {field} must be an integer, got {value}$"):
         verify_trace(bad)
+
+
+def _swap_stage_1(trace, **fields):
+    return dataclasses.replace(trace, stages=(dataclasses.replace(trace.stages[0], **fields), *trace.stages[1:]))
+
+
+# field -> (the trace with an object of another type but the same content
+# there, the message that names the field and that type)
+WRONG_TYPES = {
+    "trace": (trace_to_dict, "trace must be a ConstructionTrace, got dict"),
+    "f": (lambda t: dataclasses.replace(t, f=t.f.to_dict()), "f must be a RepTarget, got dict"),
+    "phi": (lambda t: dataclasses.replace(t, phi=str(t.phi)), "phi must be a PhiSpec, got str"),
+    "u_prefix": (lambda t: dataclasses.replace(t, u_prefix=list(t.u_prefix)), "u_prefix must be a tuple, got list"),
+    "u_prefix entry": (lambda t: dataclasses.replace(t, u_prefix=(*t.u_prefix[:-1], float(t.u_prefix[-1]))),
+                       "u_prefix entry must be an integer, got 1.0"),
+    "stages": (lambda t: dataclasses.replace(t, stages=list(t.stages)), "stages must be a tuple, got list"),
+    "stage": (lambda t: dataclasses.replace(t, stages=(str(t.stages[0]), *t.stages[1:])),
+              "stage 1 must be a StageRecord, got str"),
+    "set": (lambda t: _swap_stage_1(t, set=list(t.stages[0].set)), "stage 1 set must be a FiniteBasis, got list"),
+    "added": (lambda t: _swap_stage_1(t, added=tuple(t.stages[0].added)),
+              "stage 1 added must be a FiniteBasis, got tuple"),
+}
+
+
+@pytest.mark.parametrize("reader", [verify_trace, check_invariants, check_equality_coverage],
+                         ids=lambda reader: reader.__name__)
+@pytest.mark.parametrize("field", sorted(WRONG_TYPES))
+def test_an_in_memory_trace_field_of_another_type_is_refused(field, reader):
+    # each once ended in a bare StopIteration, AttributeError or a witness
+    # from deep in the verifier, or named a bound method as the stage index
+    trace = build(RepTarget.constant(1), "log2", 1)
+    swap, message = WRONG_TYPES[field]
+    with pytest.raises(MalformedTraceError, match=f"^{re.escape(message)}$"):
+        reader(swap(trace))
 
 
 class TestRequireInt:

@@ -30,7 +30,6 @@ from repbasis import (
     target_prefix,
 )
 from repbasis import construct, repcore
-from repbasis.construct import density_out_of_reach
 from repbasis.repcore import real_sqrt
 
 
@@ -581,38 +580,6 @@ class TestDensityBar:
             density_demand(x, phi)
         with pytest.raises(ValueError, match=f"x={x}"):
             density_exceeds(1, x, phi)
-
-    def test_out_of_reach_is_the_margin_test_with_one_of_slack(self):
-        phi = PhiSpec.parse("pow:1/4")  # the bar at x = 16 is exactly 2
-        assert density_out_of_reach(1, 16, 10**6, phi)  # 1 + 1 ties the bar
-        assert not density_out_of_reach(2, 16, 10**6, phi)
-        for count in range(0, 40):
-            for lo_x in (1, 16, 97, 4096, 10**5):
-                want = not density_exceeds(count + 1, lo_x, phi)
-                assert density_out_of_reach(count, lo_x, 10**6, phi) == want
-
-    def test_out_of_reach_at_the_demand_edge(self):
-        # the float bar is trusted only while the demand at hi_x is below 2**40
-        phi = PhiSpec.parse("pow:1/4")
-        below, above = 1, 2**200
-        assert density_demand(below, phi) < 2**40 <= density_demand(above, phi)
-        while above - below > 1:
-            mid = (below + above) // 2
-            if density_demand(mid, phi) < 2**40:
-                below = mid
-            else:
-                above = mid
-        assert density_out_of_reach(1, 16, below, phi)
-        assert not density_out_of_reach(1, 16, above, phi)
-        assert not density_out_of_reach(1, 16, 2**300, phi)
-
-    def test_out_of_reach_at_the_float_edge(self):
-        # past x = 2**2048 the bar is not trusted even where it is small
-        pow49 = PhiSpec.parse("pow:49/100")
-        assert density_demand(2**2048, pow49) < 2**21
-        assert density_out_of_reach(0, 2**100, 2**2048 - 1, pow49)  # bar 2 at 2**100
-        assert not density_out_of_reach(0, 2**100, 2**2048, pow49)
-        assert not density_out_of_reach(0, 2**100, 10**700, pow49)
 
     def test_default_cap_constant(self):
         assert DEFAULT_SEARCH_CAP == 10**9
