@@ -79,7 +79,8 @@ def _lindstrom_last(phi: PhiSpec, scale: int, extra_count: int, limit: int) -> i
     are floats, and phi(x) is off by less than about 3e-13 of itself (the
     exponent `pow` takes stays below 710), so y = count*phi(x)*(1 + 2**-40)
     is at least count*phi(x), and y*y <= x, a float against an integer and
-    so exact, proves count <= sqrt(x)/phi(x).
+    so exact, proves count <= sqrt(x)/phi(x).  Where y*y overflows to inf,
+    y <= isqrt(x), exact too, proves it, as it implies y*y <= x.
     """
     hi = limit
     while hi >= 1:
@@ -88,10 +89,10 @@ def _lindstrom_last(phi: PhiSpec, scale: int, extra_count: int, limit: int) -> i
         t = math.isqrt(s - 1) + 1  # ceil(sqrt(s))
         x = scale * lo
         # from x = 2**2047 on the count or pow's phi(x) leaves the float range;
-        # y = inf there, like an overflow of y*y, rules nothing out (bit_length,
-        # as 2**2047 is not folded into a constant and costs 2 us)
+        # y = inf there rules nothing out (bit_length, as 2**2047 is not folded
+        # into a constant and costs 2 us)
         y = (extra_count + s + t) * phi.evaluate(x) * (1 + 2**-40) if x.bit_length() < 2048 else math.inf
-        if y * y > x:
+        if y * y > x and y > math.isqrt(x):
             return hi
         hi = lo - 1
     return 0
@@ -252,13 +253,13 @@ def build(
     require_type(f, RepTarget, "f")
     phi = _as_phi(phi)
     cap = resolve_search_cap(search_cap)
-    u_prefix = tuple(target_prefix(f, L + 1))
+    targets = TargetSequence(f)  # drawn round by round, so an early abort draws few
     stages = [base_case(f, phi, search_cap=cap)]
     for l in range(1, L + 1):
         previous = stages[-1]
-        pair = FiniteBasis.from_iterable(_extension_pair(previous.set, f, u_prefix[: l + 1]))
+        pair = FiniteBasis.from_iterable(_extension_pair(previous.set, f, targets.prefix(l + 1)))
         extended = previous.set.union(pair)
         stages.append(StageRecord(2 * l, extended, pair))
         D, x = _dilated_sidon(extended, f, phi, previous.x, cap)
         stages.append(StageRecord(2 * l + 1, extended.union(D), D, x))
-    return ConstructionTrace(f=f, phi=phi, u_prefix=u_prefix, stages=tuple(stages))
+    return ConstructionTrace(f=f, phi=phi, u_prefix=tuple(targets.prefix(L + 1)), stages=tuple(stages))

@@ -8,7 +8,8 @@ stages carry a checkpoint x, and an extension adds one pair or nothing.
 A stage's kind and how many targets it certifies follow from its index
 and are not stored; the loader checks the kind the file writes.  This
 module is the one place that knows that format and states its shape
-rules, so every reader of a trace refuses the same shapes.  The builder
+rules; a trace object is checked against them when it is made, so every
+reader of a trace refuses the same shapes.  The builder
 writes traces with it and the verifier reads them with it; it imports
 only `errors` and `repcore`, so the verifier runs none of the builder's
 code.
@@ -69,6 +70,42 @@ class ConstructionTrace:
     u_prefix: tuple[int, ...]
     stages: tuple[StageRecord, ...]
 
+    def __post_init__(self):
+        """The shape rules every trace object satisfies before semantic checks.
+
+        Raises MalformedTraceError; semantic violations (densities, coverage,
+        nesting) are the verify module's job and come back as report entries.
+        A trace made in memory may hold any object in any field, so the type
+        of each is checked first.
+        """
+        require_type(self.f, RepTarget, "f", MalformedTraceError)
+        require_type(self.phi, PhiSpec, "phi", MalformedTraceError)
+        _int_list(self.u_prefix, "u_prefix", tuple)
+        stages = require_type(self.stages, tuple, "stages", MalformedTraceError)
+        if not stages:
+            raise MalformedTraceError("trace has no stages")
+        if len(stages) % 2 == 0:
+            raise MalformedTraceError("trace must end on a checkpoint stage (odd stage count)")
+        for pos, s in enumerate(stages, start=1):
+            require_type(s, StageRecord, f"stage {pos}", MalformedTraceError)
+            require_type(s.set, FiniteBasis, f"stage {pos} set", MalformedTraceError)
+            require_type(s.added, FiniteBasis, f"stage {pos} added", MalformedTraceError)
+            if require_int(s.index, f"stage {pos} index", error=MalformedTraceError) != pos:
+                raise MalformedTraceError(f"stage at position {pos} carries index {echo(s.index)}")
+            if pos % 2 == 0 and len(s.added) not in (0, 2):
+                # an extension adjoins one pair, or nothing when its target was covered
+                raise MalformedTraceError(f"extension stage {pos} must add 0 or 2 elements, got {len(s.added)}")
+            if (s.x is not None) != (pos % 2 == 1):
+                raise MalformedTraceError(f"stage {pos} must carry x exactly when its index is odd")
+            if s.x is not None and require_int(s.x, f"stage {pos} x", error=MalformedTraceError) < 1:
+                raise MalformedTraceError(f"stage {pos} checkpoint x must be positive, got {echo(s.x)}")
+        want_targets = expected_m_covered(len(stages))
+        if len(self.u_prefix) != want_targets:
+            raise MalformedTraceError(
+                f"u_prefix length {len(self.u_prefix)} does not match stage count "
+                f"(want {want_targets})"
+            )
+
     def final_set(self) -> FiniteBasis:
         return self.stages[-1].set
 
@@ -78,41 +115,9 @@ class ConstructionTrace:
 
 
 def validate_trace_structure(trace: ConstructionTrace) -> None:
-    """Shape rules every trace object must satisfy before semantic checks.
-
-    Raises MalformedTraceError; semantic violations (densities, coverage,
-    nesting) are the verify module's job and come back as report entries.
-    A trace built in memory may hold any object in any field, so the type
-    of each is checked first.
-    """
+    """Refuse an argument that is not a ConstructionTrace.  A trace object
+    met its shape rules when it was made, so nothing else is left to check."""
     require_type(trace, ConstructionTrace, "trace", MalformedTraceError)
-    require_type(trace.f, RepTarget, "f", MalformedTraceError)
-    require_type(trace.phi, PhiSpec, "phi", MalformedTraceError)
-    _int_list(trace.u_prefix, "u_prefix", tuple)
-    stages = require_type(trace.stages, tuple, "stages", MalformedTraceError)
-    if not stages:
-        raise MalformedTraceError("trace has no stages")
-    if len(stages) % 2 == 0:
-        raise MalformedTraceError("trace must end on a checkpoint stage (odd stage count)")
-    for pos, s in enumerate(stages, start=1):
-        require_type(s, StageRecord, f"stage {pos}", MalformedTraceError)
-        require_type(s.set, FiniteBasis, f"stage {pos} set", MalformedTraceError)
-        require_type(s.added, FiniteBasis, f"stage {pos} added", MalformedTraceError)
-        if require_int(s.index, f"stage {pos} index", error=MalformedTraceError) != pos:
-            raise MalformedTraceError(f"stage at position {pos} carries index {echo(s.index)}")
-        if pos % 2 == 0 and len(s.added) not in (0, 2):
-            # an extension adjoins one pair, or nothing when its target was covered
-            raise MalformedTraceError(f"extension stage {pos} must add 0 or 2 elements, got {len(s.added)}")
-        if (s.x is not None) != (pos % 2 == 1):
-            raise MalformedTraceError(f"stage {pos} must carry x exactly when its index is odd")
-        if s.x is not None and require_int(s.x, f"stage {pos} x", error=MalformedTraceError) < 1:
-            raise MalformedTraceError(f"stage {pos} checkpoint x must be positive, got {echo(s.x)}")
-    want_targets = expected_m_covered(len(stages))
-    if len(trace.u_prefix) != want_targets:
-        raise MalformedTraceError(
-            f"u_prefix length {len(trace.u_prefix)} does not match stage count "
-            f"(want {want_targets})"
-        )
 
 
 def trace_to_dict(trace: ConstructionTrace) -> dict:
@@ -237,9 +242,7 @@ def trace_from_dict(data) -> ConstructionTrace:
                 x=require_int(raw["x"], f"stage {pos} x", error=MalformedTraceError) if "x" in raw else None,
             )
         )
-    trace = ConstructionTrace(f=f, phi=phi, u_prefix=u_prefix, stages=tuple(stages))
-    validate_trace_structure(trace)
-    return trace
+    return ConstructionTrace(f=f, phi=phi, u_prefix=u_prefix, stages=tuple(stages))
 
 
 def trace_loads(text: str) -> ConstructionTrace:

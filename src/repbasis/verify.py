@@ -102,8 +102,9 @@ def check_invariants(trace: ConstructionTrace) -> InvariantReport:
     in verify_trace's walk without its upper-bound records.
 
     Structural defects (bad indices, misplaced checkpoints, an extension
-    that adds neither 0 nor 2 elements) raise MalformedTraceError; semantic
-    violations come back as failed entries with a concrete integer witness.
+    that adds neither 0 nor 2 elements) are refused with MalformedTraceError
+    when the trace is made; semantic violations come back as failed entries
+    with a concrete integer witness.
     """
     return _walk(trace, with_bounds=False)[0]
 
@@ -473,7 +474,8 @@ def verify_trace(trace: ConstructionTrace) -> VerificationReport:
     which every later stage of the run breaks it too.
 
     A shape defect, such as an extension stage that adds neither 0 nor 2
-    elements, raises MalformedTraceError from validate_trace_structure.
+    elements, is refused with MalformedTraceError when the trace is made;
+    validate_trace_structure refuses an argument that is not a trace.
     """
     invariants, decompositions, upper_bounds = _walk(trace, with_bounds=True)
     return VerificationReport(invariants, decompositions, check_equality_coverage(trace), upper_bounds)

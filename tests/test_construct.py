@@ -241,6 +241,21 @@ class TestBuild:
             build(F_ONES, LOG2, 3)
         assert err.value.cap == DEFAULT_SEARCH_CAP
 
+    def test_targets_are_drawn_round_by_round(self, monkeypatch):
+        # rounds 1 and 2 pass and round 3's densification aborts, so a million
+        # rounds draw no more than the four targets of the first three
+        asked = []
+        prefix = TargetSequence.prefix
+
+        def spy(self, m):
+            asked.append(m)
+            return prefix(self, m)
+
+        monkeypatch.setattr(TargetSequence, "prefix", spy)
+        with pytest.raises(PhiTooSlowError):
+            build(F_ONES, LOG2, 10**6)
+        assert max(asked) == 4
+
     @pytest.mark.parametrize("L", [0, -1, True, 1.5])
     def test_bad_round_count(self, L):
         with pytest.raises(ValueError):
@@ -530,6 +545,8 @@ class TestDensitySearch:
         # and a limit past the float range leaves its top block open
         tiny = PhiSpec.parse("clog:1/1000000000000000000000000000000")
         assert _lindstrom_last(tiny, 24, 2, 10**6) == 0
+        # past x = 2**1024 y*y overflows to inf, but y stays far below isqrt(x)
+        assert _lindstrom_last(tiny, 24, 2, 10**400 // 24) == 0
         assert _lindstrom_last(PhiSpec.parse("pow:49/100"), 1, 0, 10**700) == 10**700
 
 

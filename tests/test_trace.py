@@ -8,7 +8,7 @@ so each of them must resolve on a fresh import.  A derandomized set of
 one- and two-value edits of a generated trace runs through
 `repbasis verify`: each edit ends in a verdict or in one short typed
 error line.  Every reader of a trace refuses the same shapes, as the shape
-rules live in `trace` alone."""
+rules live in `trace` alone and run once, when a trace object is made."""
 
 import ast
 import copy
@@ -104,8 +104,8 @@ class TestImportBoundary:
 
 class TestExtensionArity:
     """An extension stage adds one pair, or nothing when its target was
-    already covered; the loader, `stats`, `verify` and the oracles on trace
-    objects refuse any other count with the same message."""
+    already covered; the loader, `stats`, `verify` and the making of a trace
+    object refuse any other count with the same message."""
 
     @pytest.mark.parametrize("added", [[98], [-97, 98, 200]])
     def test_every_reader_gives_the_same_message(self, tmp_path, capsys, added):
@@ -123,19 +123,52 @@ class TestExtensionArity:
         for command in ("stats", "verify"):
             assert cli.main([command, "--trace", str(path)]) == 1
             assert capsys.readouterr() == ("", f"MALFORMED_TRACE: {want}\n")
-        # a trace object skips the loader; every oracle still refuses it
+        # a trace object skips the loader, but is refused when it is made
         stages = tuple(StageRecord(s["index"], FiniteBasis(tuple(s["set"])), FiniteBasis(tuple(s["added"])),
                                    s.get("x")) for s in data["stages"])
-        obj = ConstructionTrace(RepTarget.constant(1), PhiSpec.parse("log2"),
-                                tuple(data["u_prefix"]), stages)
-        for oracle in (check_invariants, check_equality_coverage, verify_trace):
-            with pytest.raises(MalformedTraceError) as refused:
-                oracle(obj)
-            assert str(refused.value) == want
+        with pytest.raises(MalformedTraceError) as refused:
+            ConstructionTrace(RepTarget.constant(1), PhiSpec.parse("log2"), tuple(data["u_prefix"]), stages)
+        assert str(refused.value) == want
 
     def test_neither_verify_nor_construct_names_a_shape_rule(self):
         assert "MalformedTraceError" not in _imported("verify")
         assert not {n for n in _defined("construct") | _imported("construct") if n.startswith("KIND_")}
+
+
+def test_the_shape_rules_run_once_when_a_trace_is_made(monkeypatch, tmp_path, capsys):
+    # once per build and per loaded file; an oracle handed an existing trace
+    # runs them not at all
+    runs = []
+    rules = ConstructionTrace.__post_init__
+
+    def counted(obj):
+        runs.append(obj)
+        rules(obj)
+
+    monkeypatch.setattr(ConstructionTrace, "__post_init__", counted)
+    built = build(RepTarget.constant(1), "log2", 1)
+    assert len(runs) == 1
+    path = tmp_path / "trace.json"
+    path.write_text(trace.trace_dumps(built))
+    for command in ("verify", "stats"):
+        runs.clear()
+        assert cli.main([command, "--trace", str(path)]) == 0
+        assert len(runs) == 1, command
+    capsys.readouterr()
+    for oracle in (verify_trace, check_invariants, check_equality_coverage):
+        runs.clear()
+        assert oracle(built).passed
+        assert runs == [], oracle.__name__
+
+
+@pytest.mark.parametrize("pos", [2, 3])
+def test_the_loader_refuses_a_null_checkpoint(pos):
+    # without its own x check the loader would read null as "no x", which an
+    # extension stage may carry
+    data = trace_to_dict(build(RepTarget.constant(1), "log2", 1))
+    data["stages"][pos - 1]["x"] = None
+    with pytest.raises(MalformedTraceError, match=f"^stage {pos} x must be an integer, got None$"):
+        trace_loads(json.dumps(data))
 
 
 def test_every_traced_function_resolves_on_a_fresh_import():
