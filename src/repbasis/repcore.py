@@ -31,12 +31,8 @@ DENSITY_MARGIN = 1e-9
 PROFILE_WINDOW_LIMIT = 10**6
 
 
-def is_infinite(value) -> bool:
-    return value == INFINITY
-
-
 def _encode_count(value):
-    return "inf" if is_infinite(value) else int(value)
+    return "inf" if value == INFINITY else int(value)
 
 
 def _decode_count(raw, *, what: str):
@@ -131,7 +127,7 @@ class RepTarget:
         candidates = [v for n, v in self.values.items() if abs(n) <= radius]
         if radius > self.window_radius:
             candidates.append(self.default)
-        finite = [v for v in candidates if not is_infinite(v)]
+        finite = [v for v in candidates if v != INFINITY]
         return max(finite) if finite else None
 
     def to_dict(self) -> dict:
@@ -153,10 +149,19 @@ class RepTarget:
                 n = int(key)
             except (TypeError, ValueError):
                 raise ValueError(f"target value key {echo(key)} is not an integer") from None
-            if n in values:
-                raise ValueError(f"target value keys name n={n} more than once (at {echo(key)})")
+            # one spelling per n, so no two keys name the same n
+            if str(n) != key:
+                raise ValueError(f"target value key {echo(key)} names n={n} but is not written '{n}'")
             values[n] = _decode_count(raw, what=f"value at n={n}")
         return cls(data["window"], values, _decode_count(data["default"], what="default"))
+
+
+def _require_ints(items: tuple) -> None:
+    """Refuse any item that is not an int, in one C-level pass; the first
+    offender is looked up, and named, only on failure."""
+    if not {int}.issuperset(map(type, items)):
+        for e in items:
+            require_int(e, "element")
 
 
 @dataclass(frozen=True, eq=True)
@@ -171,10 +176,9 @@ class FiniteBasis:
 
     def __post_init__(self):
         els = self.elements
-        # C-level passes; the offending element is looked up only on failure
-        if not {int}.issuperset(map(type, els)):
-            for e in els:
-                require_int(e, "element")
+        if type(els) is not tuple:
+            require_type(els, tuple, "elements")
+        _require_ints(els)
         if not all(map(operator.lt, els, els[1:])):
             raise ValueError("elements must be strictly increasing")
 
@@ -259,7 +263,7 @@ def counting(A: FiniteBasis, y, x) -> int:
 
 def d0_of(f: RepTarget) -> int:
     """Smallest positive d such that f(n) >= 1 whenever |n| >= d."""
-    zeros = f.zero_points()
+    zeros = require_type(f, RepTarget, "f").zero_points()
     if not zeros:
         return 1
     return max(abs(n) for n in zeros) + 1
@@ -279,7 +283,7 @@ class TargetSequence:
     """
 
     def __init__(self, source: RepTarget):
-        self.source = source
+        self.source = require_type(source, RepTarget, "f")
         self._emitted: list[int] = []
         self._live: list[int] = []  # the last round's terms, in the order 0, 1, -1, 2, -2, ...
         self._round = 0
@@ -407,25 +411,18 @@ def density_demand(x, phi: PhiSpec) -> float:
     """The bar sqrt(x)/phi(x) that a count must strictly exceed, for an
     integer x >= 1.
 
-    Once sqrt(x) passes the float range the bar is taken in log space, and
-    it is math.inf only when the bar itself passes the float range: no
-    count a finite set can hold comes near it, so no verdict turns on it.
+    A number below 1 gets the bar's own message, and anything else that is
+    not an int is refused by the integer rule.  Once sqrt(x) passes the
+    float range the bar is taken in log space, and it is math.inf only when
+    the bar itself passes the float range: no count a finite set can hold
+    comes near it, so no verdict turns on it.
     """
-    return _density_demand(_bar_x(x), phi)
-
-
-def _bar_x(x):
-    """x, when it is an int; a number below 1 passes on to the bar's own
-    message, and anything else is refused by the integer rule."""
-    below_one = isinstance(x, (int, float)) and x < 1
-    return x if below_one else require_int(x, "x", 1)
-
-
-def _density_demand(x, phi: PhiSpec) -> float:
-    """density_demand without the integer check, for density_exceeds, which
-    the scans call once per tested n with an int x."""
+    if type(x) is not int and not (isinstance(x, (int, float)) and x < 1):
+        require_int(x, "x", 1)
     if x < 1:
         raise ValueError(f"the density bar is defined for x >= 1, got x={x}")
+    if type(phi) is not PhiSpec:  # the scans pass a PhiSpec, so they skip the check
+        require_type(phi, PhiSpec, "phi")
     root = real_sqrt(x)
     if root < INFINITY:
         return root / phi.evaluate(x)
@@ -439,6 +436,6 @@ def _density_demand(x, phi: PhiSpec) -> float:
 def density_exceeds(count: int, x, phi: PhiSpec) -> bool:
     """Strict count > sqrt(x)/phi(x) for an integer count and an integer
     x >= 1, trusted only past the float margin."""
-    if type(count) is not int:  # the scans pass ints, so they skip both checks
+    if type(count) is not int:  # the scans pass ints, so they skip the check
         require_int(count, "count")
-    return count > _density_demand(x if type(x) is int else _bar_x(x), phi) + DENSITY_MARGIN
+    return count > density_demand(x, phi) + DENSITY_MARGIN

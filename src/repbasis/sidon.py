@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .errors import DensityUnreachableError, InputTooLargeError, InputTooSmallError, require_int
-from .repcore import FiniteBasis
+from .repcore import FiniteBasis, _require_ints
 
 # Largest ambient bound the constructions accept: the shared greedy walk's
 # bitsets grow with the largest element, and reaching 10**8 takes 27 s, peaks
@@ -51,6 +51,8 @@ class SidonSet(FiniteBasis):
 
 def is_sidon(items: Iterable[int]) -> bool:
     """True when all pairwise sums of the distinct values are distinct."""
+    items = tuple(items)
+    _require_ints(items)
     els = sorted(set(items))
     seen = set()
     for i, a in enumerate(els):

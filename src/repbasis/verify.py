@@ -17,13 +17,12 @@ from itertools import chain
 
 from .errors import PreconditionViolatedError, echo, require_int
 from .repcore import (
+    INFINITY,
     FiniteBasis,
-    RepTarget,
     _require_basis,
     counting,
     density_demand,
     density_exceeds,
-    is_infinite,
     rep_function,
     sum_counter,
     target_prefix,
@@ -99,14 +98,14 @@ def _fail(condition: str, stage: int | None, witness: int | None, detail: str) -
 
 def check_invariants(trace: ConstructionTrace) -> InvariantReport:
     """Re-verify the four per-stage invariants plus trace-global coherence,
-    in verify_trace's walk without its upper-bound records.
+    in verify_trace's walk, whose other parts it drops.
 
     Structural defects (bad indices, misplaced checkpoints, an extension
     that adds neither 0 nor 2 elements) are refused with MalformedTraceError
     when the trace is made; semantic violations come back as failed entries
     with a concrete integer witness.
     """
-    return _walk(trace, with_bounds=False)[0]
+    return _walk(trace)[0]
 
 
 def _recount(A: FiniteBasis) -> tuple[Counter, int]:
@@ -114,11 +113,6 @@ def _recount(A: FiniteBasis) -> tuple[Counter, int]:
     pairs give as many distinct sums, every count is 1 and none is read."""
     counts, k = sum_counter(A), len(A)
     return counts, min(k, 1) if len(counts) == k * (k + 1) // 2 else max(counts.values())
-
-
-def _smallest_value(f: RepTarget) -> int | float:
-    """The smallest value f prescribes anywhere."""
-    return min(min(f.values.values()), f.default)
 
 
 def _stage_invariants(
@@ -131,7 +125,7 @@ def _stage_invariants(
 ) -> list[CheckResult]:
     """Zero-freeness, nesting, pair bound, coverage and density of one stage;
     `nesting` is its _nesting_check, `counts` its pair-sum Counter, `top` its
-    largest count and `floor` is _smallest_value(trace.f)."""
+    largest count and `floor` the smallest value trace.f prescribes anywhere."""
     f = trace.f
     checks: list[CheckResult] = []
     if 0 in s.set:
@@ -417,7 +411,7 @@ def check_equality_coverage(trace: ConstructionTrace) -> EqualityReport:
     entries: list[EqualityEntry] = []
     for n in sorted(covered):
         fv = trace.f._value(n)
-        if not is_infinite(fv) and covered[n] == fv:
+        if fv != INFINITY and covered[n] == fv:
             entries.append(
                 EqualityEntry(n=n, stage=final.index, required=fv, actual=rep_function(final.set, n))
             )
@@ -477,13 +471,13 @@ def verify_trace(trace: ConstructionTrace) -> VerificationReport:
     elements, is refused with MalformedTraceError when the trace is made;
     validate_trace_structure refuses an argument that is not a trace.
     """
-    invariants, decompositions, upper_bounds = _walk(trace, with_bounds=True)
+    invariants, decompositions, upper_bounds = _walk(trace)
     return VerificationReport(invariants, decompositions, check_equality_coverage(trace), upper_bounds)
 
 
-def _walk(trace: ConstructionTrace, with_bounds: bool) -> tuple[InvariantReport, tuple, tuple]:
+def _walk(trace: ConstructionTrace) -> tuple[InvariantReport, tuple, tuple]:
     """The invariant report, the decompositions and the upper-bound records
-    (none unless with_bounds) of one walk over the stages.
+    of one walk over the stages.
 
     The walk tallies each pair once.  Stage 1, and a stage whose nesting
     check fails, are counted pair by pair; their largest count is 1 when
@@ -497,9 +491,8 @@ def _walk(trace: ConstructionTrace, with_bounds: bool) -> tuple[InvariantReport,
     records once the walk is done.
     """
     validate_trace_structure(trace)
-    bounds = [(x, r) for _, x, _ in trace.checkpoints()
-              if (r := trace.f.max_finite(2 * x)) is not None] if with_bounds else []
-    floor = _smallest_value(trace.f)
+    bounds = [(x, r) for _, x, _ in trace.checkpoints() if (r := trace.f.max_finite(2 * x)) is not None]
+    floor = min(min(trace.f.values.values()), trace.f.default)
     invariants: list[CheckResult] = []
     decompositions = []
     starts = []  # the position of each nested run's first stage

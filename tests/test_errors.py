@@ -1,6 +1,7 @@
 """The one integer rule, `errors.require_int`, and the public entries that
 take a number and refuse a float, a bool or a string instead of reading it
-as one."""
+as one; and the one type rule, `errors.require_type`, on the public entries
+that take an object."""
 
 import dataclasses
 import re
@@ -15,12 +16,15 @@ from repbasis import (
     RepTarget,
     SidonLadder,
     SidonSet,
+    TargetSequence,
     build,
     check_equality_coverage,
     check_invariants,
+    d0_of,
     density_demand,
     density_exceeds,
     rep_function,
+    target_prefix,
     trace_to_dict,
     upper_bound_check,
     verify_trace,
@@ -31,7 +35,8 @@ A = FiniteBasis((1, 2))
 # f = 1 on the window |n| <= 2 but f(1) = 3, and 2 outside it
 F = RepTarget(2, {-2: 1, -1: 1, 0: 1, 1: 3, 2: 1}, 2)
 
-# entry -> (call with the refused value, error class, least in the message)
+# entry -> (call with the refused value, error class, least in the message,
+# or the class an object argument must be)
 ENTRIES = {
     "upper_bound_check x": (lambda v: upper_bound_check(A, v, 1), PreconditionViolatedError, 0),
     "upper_bound_check r": (lambda v: upper_bound_check(A, 2, v), PreconditionViolatedError, 0),
@@ -43,15 +48,24 @@ ENTRIES = {
     "SidonLadder.advance n": (lambda v: SidonLadder().advance(v), ValueError, None),
     "SidonLadder.advance_to_growth limit": (lambda v: SidonLadder().advance_to_growth(v), ValueError, None),
     "SidonSet ambient_n": (lambda v: SidonSet((), v), ValueError, None),
+    # each once raised a bare AttributeError, TargetSequence only at its first prefix
+    "density_demand phi": (lambda v: density_demand(16, v), TypeError, PhiSpec),
+    "density_exceeds phi": (lambda v: density_exceeds(3, 16, v), TypeError, PhiSpec),
+    "d0_of f": (lambda v: d0_of(v), TypeError, RepTarget),
+    "TargetSequence f": (lambda v: TargetSequence(v), TypeError, RepTarget),
+    "target_prefix f": (lambda v: target_prefix(v, 2), TypeError, RepTarget),
 }
 
 
 @pytest.mark.parametrize("value", [2.5, True, "2"], ids=["float", "bool", "str"])
 @pytest.mark.parametrize("entry", sorted(ENTRIES))
 def test_a_numeric_argument_that_is_not_an_integer_is_refused(entry, value):
-    call, error, least = ENTRIES[entry]
-    bound = "" if least is None else f" >= {least}"
-    with pytest.raises(error, match=re.escape(f" must be an integer{bound}, got {value!r}") + "$"):
+    call, error, want = ENTRIES[entry]
+    if isinstance(want, type):  # an object argument gets the type rule's message
+        message = f" must be a {want.__name__}, got {type(value).__name__}"
+    else:
+        message = f" must be an integer{'' if want is None else f' >= {want}'}, got {value!r}"
+    with pytest.raises(error, match=re.escape(message) + "$"):
         call(value)
 
 

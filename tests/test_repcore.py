@@ -2,6 +2,7 @@
 
 import math
 import random
+import re
 import sys
 from collections import Counter
 from fractions import Fraction
@@ -200,6 +201,11 @@ class TestFiniteBasis:
         with pytest.raises(ValueError, match="^elements must be strictly increasing$"):
             FiniteBasis((1, 3, 3))
 
+    def test_rejects_a_list(self):
+        # a list once made an unhashable set, unequal to the same tuple's
+        with pytest.raises(TypeError, match="^elements must be a tuple, got list$"):
+            FiniteBasis([1, 2])
+
 
 class TestRepTarget:
     def test_constant(self):
@@ -282,6 +288,16 @@ class TestRepTarget:
         # "0" and "00" both parse to n = 0; neither value may silently win
         with pytest.raises(ValueError, match="n=0"):
             RepTarget.from_dict({"window": 0, "values": {"0": 1, "00": 0}, "default": 1})
+
+    @pytest.mark.parametrize("key, n", [("1_0", 10), ("\u0661", 1), ("+1", 1), (" 1", 1), ("01", 1), ("-0", 0)],
+                             ids=["underscore", "arabic-indic", "plus", "space", "leading-zero", "minus-zero"])
+    def test_from_dict_refuses_a_key_not_written_as_str_of_its_integer(self, key, n):
+        # each spelling once loaded as n, and the file written back named n otherwise
+        values = {str(m): 1 for m in range(-10, 11) if m != n}
+        values[key] = 1
+        message = f"target value key {key!r} names n={n} but is not written '{n}'"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            RepTarget.from_dict({"window": 10, "values": values, "default": 1})
 
 
 class TestD0:

@@ -107,6 +107,13 @@ class TestIsSidon:
         assert is_sidon([-3, 1, 2])
         assert not is_sidon([-1, 0, 1])
 
+    @pytest.mark.parametrize("items, first", [("abc", "'a'"), ([1.5, 2.5], "1.5"), ([True, 2], "True")],
+                             ids=["str", "float", "bool"])
+    def test_non_integers_are_refused(self, items, first):
+        # each once answered True
+        with pytest.raises(ValueError, match=f"^element must be an integer, got {first}$"):
+            is_sidon(items)
+
 
 class TestGreedy:
     def test_pins(self):

@@ -30,6 +30,7 @@ from repbasis import (  # noqa: E402
     KIND_EXTENSION,
     MalformedTraceError,
     build,
+    check_invariants,
     density_demand,
     density_exceeds,
     target_prefix,
@@ -465,3 +466,14 @@ def test_a_failing_record_names_its_run_and_the_stages_that_fail():
     assert ("upper_bound stage=3 witness=2: stages 1-5: k=4, k(k+1)/2=10, bound r(4x+1)=9; "
             "stages 3-5 fail") in report.failures()
     assert report.upper_bounds[1].detail == "stages 1-5: k=4, k(k+1)/2=10, bound r(4x+1)=201"
+
+
+@pytest.mark.parametrize("kind", ["clean", "zero", "drop", "collide", "prefix"])
+def test_check_invariants_is_the_invariant_report_of_verify_trace(kind):
+    # check_invariants runs verify_trace's walk and drops its other parts
+    for seed, rounds, per_densify in ((1, 4, 3), (5, 8, 6), (3, 12, 12)):
+        data = gen.make_trace(seed, rounds, per_densify)
+        if kind != "clean":  # an odd stage is a densification, which may add any number
+            data, _ = gen.mutate(data, kind, len(data["stages"]) // 2 | 1, random.Random(seed))
+        trace = trace_from_dict(data)
+        assert check_invariants(trace) == verify_trace(trace).invariants
