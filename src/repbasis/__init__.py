@@ -9,7 +9,6 @@ from .construct import (
     build,
     densify,
     extend_target,
-    resolve_search_cap,
 )
 from .errors import (
     DensityUnreachableError,
@@ -54,7 +53,6 @@ from .trace import (
     trace_from_dict,
     trace_loads,
     trace_to_dict,
-    validate_trace_structure,
 )
 from .verify import (
     CheckResult,

@@ -93,12 +93,9 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_sidon(args) -> int:
-    if args.method == "greedy":
-        result = greedy_sidon(args.n)
-    elif args.method == "erdos-turan":
-        result = erdos_turan_sidon(args.n)
-    else:
-        result = sidon_for_density(args.n)
+    # built per call, so a wrapper set on one of these module names is the one called
+    methods = {"greedy": greedy_sidon, "erdos-turan": erdos_turan_sidon, "auto": sidon_for_density}
+    result = methods[args.method](args.n)
     payload = {
         "method": args.method,
         "n": args.n,
@@ -120,7 +117,8 @@ def _cmd_stats(args) -> int:
         demand = density_demand(x, trace.phi)
         r = trace.f.max_finite(2 * x)
         ceiling = math.inf if r is None else real_sqrt(2 * r * (4 * x + 1))
-        lines.append(f"{x},{count},{demand:.6f},{count / demand:.6f},{ceiling:.6f}")
+        # phi(x) past the float range leaves a bar of 0.0, which any count clears
+        lines.append(f"{x},{count},{demand:.6f},{count / demand if demand else math.inf:.6f},{ceiling:.6f}")
     _write_text(args.out, "\n".join(lines) + "\n")
     return 0
 

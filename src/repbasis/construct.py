@@ -37,11 +37,6 @@ from .trace import trace_dumps, trace_loads  # noqa: F401
 DEFAULT_SEARCH_CAP = 10**9
 
 
-def resolve_search_cap(cap: int | None = None) -> int:
-    """The explicit cap, an integer >= 1, else 10**9."""
-    return DEFAULT_SEARCH_CAP if cap is None else require_int(cap, "search cap", 1)
-
-
 def _as_phi(phi: PhiSpec | str) -> PhiSpec:
     if isinstance(phi, str):
         return PhiSpec.parse(phi)
@@ -102,21 +97,23 @@ def _density_search(
     phi: PhiSpec,
     scale: int,
     extra_count: int,
-    min_x: int | None,
-    cap: int,
+    min_x: int,
+    cap: int | None,
     context: str,
 ) -> tuple[int, int, SidonSet]:
     """Smallest n >= 1 such that x = scale*n clears every admission rule:
-    x > min_x when given, the best Sidon set D in [1, n] has 4|D|^2 > n,
-    and extra_count + |D| strictly beats sqrt(x)/phi(x).
+    x > min_x, the best Sidon set D in [1, n] has 4|D|^2 > n, and
+    extra_count + |D| strictly beats sqrt(x)/phi(x).
 
     While |D| stays the same, both rules can only turn false as n grows,
     so they are evaluated at the first n and wherever |D| grows.  The scan
     ends at the last n that Lindström's bound leaves open.
 
-    Returns (n, x, D).  Raises PhiTooSlowError once x would pass cap.
+    Returns (n, x, D).  Raises PhiTooSlowError once x would pass cap, an
+    integer >= 1 that defaults to DEFAULT_SEARCH_CAP when None.
     """
-    n = 1 if min_x is None else min_x // scale + 1
+    cap = DEFAULT_SEARCH_CAP if cap is None else require_int(cap, "search cap", 1)
+    n = min_x // scale + 1
     last = _lindstrom_last(phi, scale, extra_count, cap // scale)
     if n <= last:
         ladder = SidonLadder()
@@ -143,13 +140,12 @@ def base_case(
     """
     require_type(f, RepTarget, "f")
     phi = _as_phi(phi)
-    cap = resolve_search_cap(search_cap)
     u1 = target_prefix(f, 1)[0]
     d0 = d0_of(f)
     c = 4 * d0 if u1 >= 0 else -4 * d0
     alpha = abs(2 * c + 2 * u1)
     scale = 3 * alpha
-    n, x, D = _density_search(phi, scale, 2, None, cap, "base stage scan")
+    n, x, D = _density_search(phi, scale, 2, 0, search_cap, "base stage scan")
     A1 = FiniteBasis.from_iterable([scale * d for d in D] + [-c, c + u1])
     # the dilation spreads D past both tag elements, so nothing collides
     assert len(A1) == len(D) + 2 and counting(A1, -x, x) == len(A1)
@@ -169,7 +165,7 @@ def _extension_pair(A: FiniteBasis, f: RepTarget, prefix) -> tuple[int, ...]:
 
 
 def _dilated_sidon(
-    A: FiniteBasis, f: RepTarget, phi: PhiSpec, M: int, cap: int
+    A: FiniteBasis, f: RepTarget, phi: PhiSpec, M: int, cap: int | None
 ) -> tuple[FiniteBasis, int]:
     """The dilated Sidon set that lifts A's count in [-x, x] past
     sqrt(x)/phi(x) at the first multiple x > M of 5T, T = max(d0, max|a|),
@@ -224,11 +220,10 @@ def densify(
     """
     require_type(f, RepTarget, "f")
     phi = _as_phi(phi)
-    cap = resolve_search_cap(search_cap)
     require_int(M, "densification: M", 1, PreconditionViolatedError)
     _reject_zero_member(A, "densification")
     _reject_bad_pair_counts(A, f, "densification")
-    D, x = _dilated_sidon(A, f, phi, M, cap)
+    D, x = _dilated_sidon(A, f, phi, M, search_cap)
     return A.union(D), x
 
 
@@ -250,16 +245,15 @@ def build(
     phi may be given as a spec string such as "log2" or "pow:1/4".
     """
     require_int(L, "stage count L", 1)
-    require_type(f, RepTarget, "f")
+    # refuses an f that is no RepTarget; drawn round by round, so an early abort draws few
+    targets = TargetSequence(f)
     phi = _as_phi(phi)
-    cap = resolve_search_cap(search_cap)
-    targets = TargetSequence(f)  # drawn round by round, so an early abort draws few
-    stages = [base_case(f, phi, search_cap=cap)]
+    stages = [base_case(f, phi, search_cap=search_cap)]
     for l in range(1, L + 1):
         previous = stages[-1]
         pair = FiniteBasis.from_iterable(_extension_pair(previous.set, f, targets.prefix(l + 1)))
         extended = previous.set.union(pair)
         stages.append(StageRecord(2 * l, extended, pair))
-        D, x = _dilated_sidon(extended, f, phi, previous.x, cap)
+        D, x = _dilated_sidon(extended, f, phi, previous.x, search_cap)
         stages.append(StageRecord(2 * l + 1, extended.union(D), D, x))
     return ConstructionTrace(f=f, phi=phi, u_prefix=tuple(targets.prefix(L + 1)), stages=tuple(stages))

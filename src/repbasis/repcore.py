@@ -374,7 +374,8 @@ class PhiSpec:
         return f"{self.kind}:{self.parameter}"
 
     def evaluate(self, x) -> float:
-        """phi(x) for x >= 0, as a float.  Handles arbitrarily large ints."""
+        """phi(x) for x >= 0, as a float, or math.inf when that passes the
+        float range.  Handles arbitrarily large ints."""
         if x < 0:
             raise ValueError("phi is evaluated on non-negative x")
         if self.kind == "log2":
@@ -386,7 +387,7 @@ class PhiSpec:
         # pow: route through exp/log so huge integers do not overflow float pow
         if x == 0:
             return 0.0
-        return math.exp(float(self.parameter) * math.log(x))
+        return _exp(float(self.parameter) * math.log(x))
 
 
 def _exp(log_value: float) -> float:

@@ -106,18 +106,9 @@ class ConstructionTrace:
                 f"(want {want_targets})"
             )
 
-    def final_set(self) -> FiniteBasis:
-        return self.stages[-1].set
-
     def checkpoints(self) -> list[tuple[int, int, FiniteBasis]]:
         """(stage index, x, stage set) for every stage that records an x."""
         return [(s.index, s.x, s.set) for s in self.stages if s.x is not None]
-
-
-def validate_trace_structure(trace: ConstructionTrace) -> None:
-    """Refuse an argument that is not a ConstructionTrace.  A trace object
-    met its shape rules when it was made, so nothing else is left to check."""
-    require_type(trace, ConstructionTrace, "trace", MalformedTraceError)
 
 
 def trace_to_dict(trace: ConstructionTrace) -> dict:
@@ -225,6 +216,10 @@ def trace_from_dict(data) -> ConstructionTrace:
         phi = PhiSpec.parse(data["phi"])
     except ValueError as exc:
         raise MalformedTraceError(f"bad phi: {exc}") from None
+    # one spelling per spec, so the loaded trace writes back the same text
+    if (spec := str(phi)) != data["phi"]:
+        spec = spec if len(spec) <= 80 else spec[:80] + "..."  # cut as echo cuts a value
+        raise MalformedTraceError(f"bad phi: {echo(data['phi'])} names {spec} but is not written '{spec}'")
     u_prefix = tuple(_int_list(data["u_prefix"], "u_prefix"))
     stages = []
     for pos, raw in enumerate(require_type(data["stages"], list, "stages", MalformedTraceError), start=1):

@@ -15,7 +15,7 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import chain
 
-from .errors import PreconditionViolatedError, echo, require_int
+from .errors import PreconditionViolatedError, echo, require_int, require_type
 from .repcore import (
     INFINITY,
     FiniteBasis,
@@ -33,7 +33,6 @@ from .trace import (
     KIND_EXTENSION,
     ConstructionTrace,
     StageRecord,
-    validate_trace_structure,
 )
 
 # condition names, numbered as the stage invariants they certify
@@ -358,7 +357,7 @@ def _run_bound(run: tuple[StageRecord, ...], x: int, r: int) -> CheckResult:
     run's last stage decides it; only a failure bisects for the first
     stage that breaks it, which the record names."""
     def exceeds(s: StageRecord) -> bool:
-        return not _pigeonhole(counting(s.set, -x, x), x, r)[0]
+        return not upper_bound_check(s.set, x, r)
 
     last = run[-1]
     s = run[bisect_left(run, True, hi=len(run) - 1, key=exceeds)] if exceeds(last) else last
@@ -405,7 +404,7 @@ def check_equality_coverage(trace: ConstructionTrace) -> EqualityReport:
     representations.  Prescribed zeros are exhausted from the start and
     are checked against every stage.
     """
-    validate_trace_structure(trace)
+    require_type(trace, ConstructionTrace, "trace")
     final = trace.stages[-1]
     covered = Counter(trace.u_prefix[: final.m_covered])
     entries: list[EqualityEntry] = []
@@ -469,7 +468,7 @@ def verify_trace(trace: ConstructionTrace) -> VerificationReport:
 
     A shape defect, such as an extension stage that adds neither 0 nor 2
     elements, is refused with MalformedTraceError when the trace is made;
-    validate_trace_structure refuses an argument that is not a trace.
+    an argument that is not a trace is refused with TypeError.
     """
     invariants, decompositions, upper_bounds = _walk(trace)
     return VerificationReport(invariants, decompositions, check_equality_coverage(trace), upper_bounds)
@@ -490,7 +489,7 @@ def _walk(trace: ConstructionTrace) -> tuple[InvariantReport, tuple, tuple]:
     is recounted also opens a nested run, and _run_bound writes each run's
     records once the walk is done.
     """
-    validate_trace_structure(trace)
+    require_type(trace, ConstructionTrace, "trace")
     bounds = [(x, r) for _, x, _ in trace.checkpoints() if (r := trace.f.max_finite(2 * x)) is not None]
     floor = min(min(trace.f.values.values()), trace.f.default)
     invariants: list[CheckResult] = []

@@ -437,6 +437,15 @@ class TestStats:
             # the bar and sqrt(8x) themselves pass the float range
             assert (demand, ratio, ceiling) == (math.inf, 0.0, math.inf)
 
+    def test_a_bar_that_underflows_to_zero_reads_ratio_inf(self, tmp_path, ones_file):
+        # phi(x) = c*ln(x+2) passes the float range, so sqrt(x)/phi(x) is 0.0
+        out = tmp_path / "trace.json"
+        run_cli("build", "--f", str(ones_file), "--phi", f"clog:{int(1.7e308)}", "--stages", "1",
+                "--out", str(out), check=True)
+        result = run_cli("stats", "--trace", str(out), check=True)
+        rows = [line.split(",") for line in result.stdout.splitlines()[1:]]
+        assert [row[:4] for row in rows] == [["24", "3", "0.000000", "inf"], ["490", "6", "0.000000", "inf"]]
+
     def test_ratios_exceed_one(self, ones_trace_file):
         result = run_cli("stats", "--trace", str(ones_trace_file), check=True)
         for line in result.stdout.strip().splitlines()[1:]:

@@ -7,6 +7,7 @@ import itertools
 import json
 import math
 import random
+import re
 
 import pytest
 
@@ -28,7 +29,6 @@ from repbasis import (
     build,
     densify,
     extend_target,
-    resolve_search_cap,
     trace_dumps,
     trace_from_dict,
     trace_loads,
@@ -49,24 +49,46 @@ POW14 = PhiSpec.parse("pow:1/4")
 
 
 class TestSearchCap:
+    """The cap rule: None means DEFAULT_SEARCH_CAP, else an integer >= 1."""
+
+    @staticmethod
+    def _abort_cap(**kwargs) -> int:
+        # the Lindström certificate rules out every x up to the cap, so the
+        # build aborts before any scan
+        with pytest.raises(PhiTooSlowError) as err:
+            build(F_ONES, "clog:1/100", 1, **kwargs)
+        return err.value.cap
+
     def test_default(self):
-        assert resolve_search_cap() == DEFAULT_SEARCH_CAP
+        assert DEFAULT_SEARCH_CAP == 10**9
+        assert self._abort_cap() == DEFAULT_SEARCH_CAP
 
     def test_the_environment_sets_no_cap(self, monkeypatch):
         monkeypatch.setenv("REPBASIS_SEARCH_CAP", "10")
-        assert resolve_search_cap() == 10**9
-        assert resolve_search_cap(100) == 100
+        assert self._abort_cap() == 10**9
+        assert self._abort_cap(search_cap=100) == 100
 
     @pytest.mark.parametrize("raw", ["abc", "0", "-3", "2.5"])
     def test_bad_env_value(self, monkeypatch, raw):
         """Nor is a value there that is no integer >= 1 refused."""
         monkeypatch.setenv("REPBASIS_SEARCH_CAP", raw)
-        assert resolve_search_cap() == DEFAULT_SEARCH_CAP
+        assert self._abort_cap() == DEFAULT_SEARCH_CAP
 
     @pytest.mark.parametrize("cap", [0, -5, True, 2.5])
-    def test_bad_explicit_value(self, cap):
-        with pytest.raises(ValueError):
-            resolve_search_cap(cap)
+    def test_bad_explicit_value(self, cap, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a bad cap must be refused before any walk")
+
+        monkeypatch.setattr(construct, "_lindstrom_last", refuse)
+        message = f"^search cap must be an integer >= 1, got {re.escape(repr(cap))}$"
+        for call in (lambda: build(F_ONES, LOG2, 1, search_cap=cap),
+                     lambda: base_case(F_ONES, LOG2, search_cap=cap),
+                     lambda: densify(FiniteBasis((1, 2)), F_ONES, LOG2, 1, search_cap=cap)):
+            with pytest.raises(ValueError, match=message):
+                call()
+        # the scan reads the cap, so densify refuses a bad set first
+        with pytest.raises(PreconditionViolatedError, match="^densification: 0 must not be an element$"):
+            densify(FiniteBasis((0, 1)), F_ONES, LOG2, 1, search_cap=cap)
 
 
 class TestBaseCase:
@@ -215,7 +237,7 @@ class TestBuild:
         assert (s3.index, s3.kind, s3.x) == (3, KIND_DENSIFICATION, 490)
         assert s3.set.elements == (-97, -4, 4, 24, 98, 490)
         assert s3.added.elements == (490,)
-        assert trace.final_set() is s3.set
+        assert trace.stages[-1].set is s3.set
         assert trace.checkpoints() == [(1, 24, s1.set), (3, 490, s3.set)]
 
     def test_final_checkpoints_per_function(self):
@@ -475,7 +497,7 @@ def _per_n_search(phi, scale, extra_count, min_x, cap, context):
     """The scan as a plain loop: advance the ladder and test both rules at
     every n until one passes or x passes the cap."""
     ladder = SidonLadder()
-    n = 1 if min_x is None else min_x // scale + 1
+    n = min_x // scale + 1
     while True:
         x = scale * n
         if x > cap:
@@ -507,7 +529,7 @@ class TestDensitySearch:
         # the Lindström certificate rules out every n for the last phi, so its
         # scans abort at once; caps over 20000 steps keep the per-n loop fast
         grid = itertools.product(
-            self.PHIS, (1, 7, 24, 90, 500), (0, 2, 9), (None, 4321), (1, 500, 20000, 300000)
+            self.PHIS, (1, 7, 24, 90, 500), (0, 2, 9), (0, 4321), (1, 500, 20000, 300000)
         )
         aborts = successes = 0
         for phi, scale, extra, min_x, cap in grid:
@@ -531,7 +553,7 @@ class TestDensitySearch:
         monkeypatch.setattr(SidonLadder, "advance", spy)
         for phi in ("clog:1/100", "clog:1/1000000000000000000000000000000"):
             with pytest.raises(PhiTooSlowError) as err:
-                _density_search(PhiSpec.parse(phi), 24, 2, None, 10**9, "scan")
+                _density_search(PhiSpec.parse(phi), 24, 2, 0, 10**9, "scan")
             assert err.value.cap == 10**9
             assert str(err.value) == (f"scan: no x <= 1000000000 (step 24) reaches "
                                       f"count > sqrt(x)/phi(x) with phi={phi}")

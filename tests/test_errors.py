@@ -115,7 +115,9 @@ def _swap_stage_1(trace, **fields):
 
 
 # field -> (the trace with an object of another type but the same content
-# there, the message that names the field and that type)
+# there, the message that names the field and that type); a field is refused
+# with MalformedTraceError when the trace is made, and a reader refuses an
+# argument that is no trace with the type rule's TypeError
 WRONG_TYPES = {
     "trace": (trace_to_dict, "trace must be a ConstructionTrace, got dict"),
     "f": (lambda t: dataclasses.replace(t, f=t.f.to_dict()), "f must be a RepTarget, got dict"),
@@ -140,7 +142,8 @@ def test_an_in_memory_trace_field_of_another_type_is_refused(field, reader):
     # from deep in the verifier, or named a bound method as the stage index
     trace = build(RepTarget.constant(1), "log2", 1)
     swap, message = WRONG_TYPES[field]
-    with pytest.raises(MalformedTraceError, match=f"^{re.escape(message)}$"):
+    error = TypeError if field == "trace" else MalformedTraceError
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
         reader(swap(trace))
 
 

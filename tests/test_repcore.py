@@ -470,6 +470,8 @@ class TestPhiSpec:
         x = 10**400
         assert PhiSpec.parse("log2").evaluate(x) == pytest.approx(400 * math.log2(10))
         assert PhiSpec.parse("pow:1/4").evaluate(x) == pytest.approx(1e100, rel=1e-9)
+        # phi(x) itself past the float range
+        assert PhiSpec.parse("pow:49/100").evaluate(10**4000) == math.inf
 
     @pytest.mark.parametrize(
         "text",

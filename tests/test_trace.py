@@ -171,6 +171,28 @@ def test_the_loader_refuses_a_null_checkpoint(pos):
         trace_loads(json.dumps(data))
 
 
+@pytest.mark.parametrize("spelling", ["pow:0.25", "pow: 1/4", "pow:2/8", "pow:+1/4", "pow:1_0/40", "pow:1/4 ",
+                                      "clog:0.01", pytest.param("clog:0." + "1" * 100, id="clog:0.1^100")])
+def test_the_loader_refuses_a_phi_not_written_as_its_spec_prints(tmp_path, capsys, spelling):
+    # each once loaded as its spec, and the trace then wrote another text
+    data = trace_to_dict(build(RepTarget.constant(1), "log2", 1))
+    data["phi"] = spelling
+    try:
+        spec = str(PhiSpec.parse(spelling))
+    except ValueError as exc:  # Fraction reads "1_0" from Python 3.11 on
+        want = f"bad phi: {exc}"
+    else:
+        spec = spec if len(spec) <= 80 else spec[:80] + "..."  # a long spec is cut like a refused value
+        want = f"bad phi: {errors.echo(spelling)} names {spec} but is not written '{spec}'"
+    with pytest.raises(MalformedTraceError) as refused:
+        trace_loads(json.dumps(data))
+    assert str(refused.value) == want
+    path = tmp_path / "trace.json"
+    path.write_text(json.dumps(data))
+    assert cli.main(["verify", "--trace", str(path)]) == 1
+    assert capsys.readouterr() == ("", f"MALFORMED_TRACE: {want}\n")
+
+
 def test_every_traced_function_resolves_on_a_fresh_import():
     """Each (module, attribute) of bench/tracing.WRAPPED names a callable
     once `repbasis` and `repbasis.cli` are imported, as bench/run.py does."""

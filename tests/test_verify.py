@@ -351,6 +351,21 @@ class TestVerifyTrace:
         assert report.passed
         assert report.upper_bounds == ()
 
+    def test_each_record_runs_the_public_oracle(self, monkeypatch):
+        # a clean trace is one nested run, so the record of each checkpoint
+        # asks upper_bound_check once, of the run's last stage
+        calls = []
+        oracle = repbasis.verify.upper_bound_check
+
+        def counted(A, x, r):
+            calls.append((A, x, r))
+            return oracle(A, x, r)
+
+        monkeypatch.setattr(repbasis.verify, "upper_bound_check", counted)
+        trace = build(F_ONES, LOG2, 2)
+        assert verify_trace(trace).passed
+        assert calls == [(trace.stages[-1].set, x, 1) for _, x, _ in trace.checkpoints()]
+
 
 def _nested_runs(trace):
     """The stages of each maximal nested run, read from check_invariants'

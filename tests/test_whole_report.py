@@ -39,7 +39,7 @@ from repbasis import (  # noqa: E402
     upper_bound_check,
     verify_trace,
 )
-from repbasis.trace import expected_kind, validate_trace_structure  # noqa: E402
+from repbasis.trace import expected_kind  # noqa: E402
 
 # the benchmark's generator of deep valid traces (f = 1, phi = pow:9/20)
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
@@ -142,7 +142,6 @@ def _decomposition(A, added, kind):
 
 def reference_report(trace) -> dict:
     """verify_trace(trace).to_dict(), re-derived pair by pair."""
-    validate_trace_structure(trace)
     f, stages = trace.f, trace.stages
     checkpoints = [(s.index, s.x) for s in stages if s.x is not None]
     invariants, decompositions, upper_bounds, all_counts, runs = [], [], [], [], []
@@ -404,7 +403,6 @@ def test_each_upper_bound_record_is_exact_for_each_edit_of_each_trace(edit):
         EDITS.get(edit, lambda data, rng: None)(data, random.Random(1))
         try:
             trace = trace_from_dict(data)
-            validate_trace_structure(trace)
         except MalformedTraceError:
             continue
         _assert_upper_bounds_are_exact(trace)
