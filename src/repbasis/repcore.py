@@ -337,6 +337,7 @@ class PhiSpec:
         elif self.kind == "clog":
             if self.parameter is None or self.parameter <= 0:
                 raise ValueError("clog coefficient must be positive")
+        as_float = None
         if self.parameter is not None:
             # phi is evaluated in floats, so the parameter must be one; it is
             # named by its power of ten, as its digits may be too many to print
@@ -354,6 +355,9 @@ class PhiSpec:
             digits = int(max(map(int.bit_length, self.parameter.as_integer_ratio())) * math.log10(2)) + 1
             if limit and digits > limit:
                 raise ValueError(f"phi parameter of {self.kind} has up to {digits} digits, past the limit of {limit}")
+        # converted once, as evaluate reads it on every call; not a field, so
+        # eq, hash and repr see only kind and parameter
+        object.__setattr__(self, "_float", as_float)
 
     @classmethod
     def parse(cls, text: str) -> "PhiSpec":
@@ -383,11 +387,11 @@ class PhiSpec:
         if self.kind == "ln":
             return math.log(x + 2)
         if self.kind == "clog":
-            return float(self.parameter) * math.log(x + 2)
+            return self._float * math.log(x + 2)
         # pow: route through exp/log so huge integers do not overflow float pow
         if x == 0:
             return 0.0
-        return _exp(float(self.parameter) * math.log(x))
+        return _exp(self._float * math.log(x))
 
 
 def _exp(log_value: float) -> float:
@@ -428,7 +432,7 @@ def density_demand(x, phi: PhiSpec) -> float:
     if root < INFINITY:
         return root / phi.evaluate(x)
     if phi.kind == "pow":
-        log_phi = float(phi.parameter) * math.log(x)
+        log_phi = phi._float * math.log(x)
     else:
         log_phi = math.log(phi.evaluate(x))
     return _exp(0.5 * math.log(x) - log_phi)

@@ -19,13 +19,13 @@ from .errors import PreconditionViolatedError, echo, require_int, require_type
 from .repcore import (
     INFINITY,
     FiniteBasis,
+    RepTarget,
     _require_basis,
     counting,
     density_demand,
     density_exceeds,
     rep_function,
     sum_counter,
-    target_prefix,
 )
 from .trace import (
     KIND_BASE,
@@ -107,25 +107,42 @@ def check_invariants(trace: ConstructionTrace) -> InvariantReport:
     return _walk(trace)[0]
 
 
-def _recount(A: FiniteBasis) -> tuple[Counter, int]:
-    """The pair-sum counts of A and the largest of them.  When the k(k+1)/2
-    pairs give as many distinct sums, every count is 1 and none is read."""
-    counts, k = sum_counter(A), len(A)
-    return counts, min(k, 1) if len(counts) == k * (k + 1) // 2 else max(counts.values())
+def _recount(A: FiniteBasis) -> tuple[set, Counter, int]:
+    """The pair-sum tally of A, as the set of its distinct sums and the
+    counts of those that occur more than once, and the largest count.  When
+    the k(k+1)/2 pairs give as many distinct sums, nothing repeats and the
+    pairs are not counted again."""
+    els, k = A.elements, len(A)
+    sums = {a + b for i, a in enumerate(els) for b in els[i:]}
+    if len(sums) == k * (k + 1) // 2:
+        return sums, Counter(), min(k, 1)
+    repeats = _repeats(sum_counter(A))
+    return sums, repeats, max(repeats.values())
+
+
+def _repeats(counts: Counter) -> Counter:
+    """The entries of `counts` above 1."""
+    return Counter({n: r for n, r in counts.items() if r > 1})
 
 
 def _stage_invariants(
     trace: ConstructionTrace,
     s: StageRecord,
     nesting: CheckResult,
-    counts: Counter,
+    sums: set,
+    repeats: Counter,
     top: int,
     floor: int | float,
 ) -> list[CheckResult]:
     """Zero-freeness, nesting, pair bound, coverage and density of one stage;
-    `nesting` is its _nesting_check, `counts` its pair-sum Counter, `top` its
+    `nesting` is its _nesting_check, `sums` and `repeats` its pair-sum tally
+    (the distinct sums, and the counts of those that repeat), `top` its
     largest count and `floor` the smallest value trace.f prescribes anywhere."""
     f = trace.f
+
+    def count(n: int) -> int:
+        return repeats.get(n) or int(n in sums)
+
     checks: list[CheckResult] = []
     if 0 in s.set:
         checks.append(_fail(COND_ZERO_FREE, s.index, 0, "0 is an element of the stage set"))
@@ -135,21 +152,23 @@ def _stage_invariants(
     checks.append(nesting)
 
     # counts that all stay within the smallest prescribed value meet every
-    # bound; any larger count sends the check through the per-sum scan
+    # bound.  Otherwise a count above f(n) is a repeat above f(n), or a sum
+    # met once where f prescribes 0
     if top <= floor:
         n = None
     else:
-        n = min((n for n, r in counts.items() if r > f._value(n)), default=None)
+        over = [n for n, r in repeats.items() if r > f._value(n)]
+        n = min(over + [z for z in f.zero_points() if z in sums], default=None)
     if n is not None:
-        detail = f"rep count {counts[n]} exceeds prescribed {f._value(n)} at n={n}"
+        detail = f"rep count {count(n)} exceeds prescribed {f._value(n)} at n={n}"
         checks.append(_fail(COND_PAIR_BOUND, s.index, n, detail))
     else:
         checks.append(_ok(COND_PAIR_BOUND, s.index, "pair-sum counts within bounds"))
 
     need = Counter(trace.u_prefix[: s.m_covered])
-    n = min((n for n in need if counts[n] < need[n]), default=None)
+    n = min((n for n in need if count(n) < need[n]), default=None)
     if n is not None:
-        detail = f"target n={n} needs {need[n]} representations, set gives {counts[n]}"
+        detail = f"target n={n} needs {need[n]} representations, set gives {count(n)}"
         checks.append(_fail(COND_COVERAGE, s.index, n, detail))
     else:
         checks.append(_ok(COND_COVERAGE, s.index, f"first {s.m_covered} targets covered"))
@@ -179,7 +198,7 @@ def _trace_invariants(trace: ConstructionTrace) -> list[CheckResult]:
         checks.append(_ok(COND_MONOTONE, None, "checkpoints strictly increase"))
 
     u_prefix = trace.u_prefix
-    expected_prefix = tuple(target_prefix(trace.f, len(u_prefix)))
+    expected_prefix = _spiral(trace.f, len(u_prefix))
     if expected_prefix != u_prefix:
         pos = next(i for i, (a, b) in enumerate(zip(expected_prefix, u_prefix)) if a != b)
         detail = f"u_prefix[{pos}] is {u_prefix[pos]}, enumeration gives {expected_prefix[pos]}"
@@ -187,6 +206,18 @@ def _trace_invariants(trace: ConstructionTrace) -> list[CheckResult]:
     else:
         checks.append(_ok(COND_U_PREFIX, None, "u_prefix matches the deterministic enumeration"))
     return checks
+
+
+def _spiral(f: RepTarget, m: int) -> tuple[int, ...]:
+    """The first m targets, by their definition: round t = 1, 2, ... scans
+    n = 0, 1, -1, ..., t, -t and emits each n while t - max(|n|, 1) < f(n)."""
+    out: list[int] = []
+    t = 0
+    while len(out) < m:
+        t += 1
+        scan = chain((0,), chain.from_iterable((j, -j) for j in range(1, t + 1)))
+        out += [n for n in scan if t - max(abs(n), 1) < f._value(n)]
+    return tuple(out[:m])
 
 
 def _nesting_check(s: StageRecord, prev: FiniteBasis | None) -> CheckResult:
@@ -231,62 +262,71 @@ def check_decomposition(A: FiniteBasis, added, kind: str) -> DecompositionReport
         raise PreconditionViolatedError(
             f"an extension adjoins exactly two elements, got {len(added_tuple)}"
         )
-    return _decompose(A, sum_counter(A), added_tuple, kind)[0]
+    sums, repeats, _ = _recount(A)
+    return _decompose(A, sums, repeats, added_tuple, kind)[0]
 
 
 def _decompose(
-    A: FiniteBasis, sums: Counter, added: tuple[int, ...], kind: str
+    A: FiniteBasis, sums: set, repeats: Counter, added: tuple[int, ...], kind: str
 ) -> tuple[DecompositionReport, int]:
-    """The decomposition checks of A plus the sorted `added`, given the pair-sum
-    counts of A (`sums`), which become the union's in place, and the largest
-    union count on a cross or self sum.  With F the distinct added elements
-    that A lacks, the union's sums are, as a multiset, the old sums, a + t for
-    a in A and t in F, and t + t' for t <= t' in F.
+    """The decomposition checks of A plus the sorted `added`, given the
+    pair-sum tally of A (`sums`, its distinct sums, and `repeats`, the counts
+    of those that repeat), which becomes the union's in place, and the
+    largest union count on a cross or self sum.  With F the distinct added
+    elements that A lacks, the union's sums are, as a multiset, the old sums,
+    a + t for a in A and t in F, and t + t' for t <= t' in F.
 
-    The cross and self sums are tallied into `sums` once, and the number of
-    keys that gains decides all five uniqueness and disjointness checks.  When
-    one fails, the tally is undone and the checks run one by one, so that each
-    names its smallest witness."""
+    The cross and self sums are added to `sums` once, and the number of
+    sums that gains decides all five uniqueness and disjointness checks.
+    When one fails, A is counted afresh and the checks run one by one, so
+    that each names its smallest witness."""
     els = A.elements
     u = added[0] + added[1] if kind == KIND_EXTENSION else None
-    cross = list(chain.from_iterable(map(t.__add__, els) for t in added))
-    self_part = list(chain.from_iterable(map(t.__add__, added[i:]) for i, t in enumerate(added)))
-    new = cross + self_part
-    had_u, before, top = u in sums, len(sums), sums.get(u, 0) + 1
-    sums.update(new)
-    # the tally gains one key per new sum, less the repeats among the new sums
+    cross = [t + a for t in added for a in els]
+    self_part = [t + s for i, t in enumerate(added) for s in added[i:]]
+    had_u, before = u in sums, len(sums)
+    sums.update(cross)
+    sums.update(self_part)
+    # the set gains one sum per new sum, less the repeats among the new sums
     # and less the distinct new sums that were old ones.  u is a self sum, so
     # all five checks pass exactly when those two shortfalls add up to had_u.
     # Then a repeated t, or a t already in A, would give 2t twice, so F is
-    # `added`, the tally is the union's (1 on each new sum but u, which gains
-    # one) and the piecewise formula holds by arithmetic
-    if len(sums) - before == len(new) - had_u:
+    # `added`, every new sum but u is met once, u once more than before, and
+    # the piecewise formula holds by arithmetic
+    if len(sums) - before == len(cross) + len(self_part) - had_u:
+        top = 1
+        if had_u:
+            top = repeats[u] = (repeats.get(u) or 1) + 1
         u_exempt = _disjoint_check("old_self_disjoint", set(), set(), exempt=u)
         return DecompositionReport(kind=kind, checks=(*_PASSED, u_exempt, _PIECEWISE_OK)), top
-    # a check fails: undo the tally, which drops the keys it added, as every
-    # count of A is positive
-    sums -= Counter(new)
-    checks = _part_checks(sums.keys(), cross, self_part, u)
+    # a check fails: count A afresh, as `sums` no longer tells the old sums
+    # from the new
+    counts = sum_counter(A)
+    checks = _part_checks(counts.keys(), cross, self_part, u)
     # the piecewise formula on every cross and self sum: 1 on a new sum, the old
     # count on an old one, one more than that at the covered target; off those
     # sums the formula and the union both give the old count
-    expected = dict.fromkeys(new, 1)
-    for n in expected.keys() & sums.keys():
-        expected[n] = sums[n] + (n == u)
+    expected = dict.fromkeys(chain(cross, self_part), 1)
+    for n in expected.keys() & counts.keys():
+        expected[n] = counts[n] + (n == u)
 
     fresh = sorted(set(added).difference(els))
-    sums.update(chain.from_iterable(map(t.__add__, chain(els, fresh[i:])) for i, t in enumerate(fresh)))
+    counts.update(chain.from_iterable(map(t.__add__, chain(els, fresh[i:])) for i, t in enumerate(fresh)))
     # one C-level comparison settles a full match, as every cross and self sum
     # is a key of the union's counts; otherwise the per-sum scan names the
     # smallest witness
-    if expected.items() <= sums.items():
+    if expected.items() <= counts.items():
         checks.append(_PIECEWISE_OK)
     else:
-        n = next(n for n in sorted(expected) if sums[n] != expected[n])
-        detail = f"rep count at n={n} is {sums[n]}, piecewise formula gives {expected[n]}"
+        n = next(n for n in sorted(expected) if counts[n] != expected[n])
+        detail = f"rep count at n={n} is {counts[n]}, piecewise formula gives {expected[n]}"
         checks.append(_fail("piecewise_formula", None, n, detail))
+    # `sums` already holds every sum of the union, as each cross or self sum
+    # is one; only the repeats change
+    repeats.clear()
+    repeats.update(_repeats(counts))
     # the union's counts differ from A's only on cross and self sums
-    return DecompositionReport(kind=kind, checks=tuple(checks)), max(map(sums.get, expected))
+    return DecompositionReport(kind=kind, checks=tuple(checks)), max(map(counts.get, expected))
 
 
 def _part_checks(old, cross: list[int], self_part: list[int], u: int | None) -> list[CheckResult]:
@@ -478,12 +518,14 @@ def _walk(trace: ConstructionTrace) -> tuple[InvariantReport, tuple, tuple]:
     """The invariant report, the decompositions and the upper-bound records
     of one walk over the stages.
 
-    The walk tallies each pair once.  Stage 1, and a stage whose nesting
-    check fails, are counted pair by pair; their largest count is 1 when
-    their pairs give distinct sums and is read from the counts otherwise.
-    Any other stage takes the counts its decomposition derives in place
-    from its predecessor's: the cross and self sums are added to them once,
-    and undone and re-derived only when a decomposition check fails.
+    The walk tallies each pair once, as a set of the distinct sums and a
+    Counter of the sums that repeat.  Stage 1, and a stage whose nesting
+    check fails, are tallied pair by pair; their largest count is 1 when
+    their pairs give distinct sums and is read from sum_counter otherwise.
+    Any other stage takes the tally its decomposition derives in place
+    from its predecessor's: the cross and self sums are added to the set
+    once, and the union is counted afresh only when a decomposition check
+    fails.
     Counts only grow along a nested chain, so such a stage's largest count
     is its predecessor's or one on its cross and self sums.  A stage that
     is recounted also opens a nested run, and _run_bound writes each run's
@@ -495,17 +537,17 @@ def _walk(trace: ConstructionTrace) -> tuple[InvariantReport, tuple, tuple]:
     invariants: list[CheckResult] = []
     decompositions = []
     starts = []  # the position of each nested run's first stage
-    prev = counts = None
+    prev = sums = repeats = None
     for i, s in enumerate(trace.stages):
         nesting = _nesting_check(s, prev)
         if s.kind != KIND_BASE and len(s.added) > 0:
-            report, new_top = _decompose(prev, counts, s.added.elements, s.kind)
+            report, new_top = _decompose(prev, sums, repeats, s.added.elements, s.kind)
             decompositions.append((s.index, report))
             top = max(top, new_top)
         if prev is None or not nesting.passed:
             starts.append(i)
-            counts, top = _recount(s.set)
-        invariants += _stage_invariants(trace, s, nesting, counts, top, floor)
+            sums, repeats, top = _recount(s.set)
+        invariants += _stage_invariants(trace, s, nesting, sums, repeats, top, floor)
         prev = s.set
     stages = trace.stages
     upper_bounds = tuple(_run_bound(stages[a:b], x, r)

@@ -22,11 +22,12 @@ from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from test_sidon import ReferenceLadder, same_state  # noqa: E402
-from test_verify import _reference_decomposition  # noqa: E402
+from test_verify import _reference_decomposition, _reference_pair_bound, _split  # noqa: E402
 from test_whole_report import _decomposition as whole_report_decomposition  # noqa: E402
 
 from repbasis import (  # noqa: E402
     INFINITY,
+    ConstructionTrace,
     KIND_DENSIFICATION,
     KIND_EXTENSION,
     FiniteBasis,
@@ -35,6 +36,7 @@ from repbasis import (  # noqa: E402
     PhiTooSlowError,
     RepTarget,
     SidonLadder,
+    StageRecord,
     build,
     check_decomposition,
     cli,
@@ -45,6 +47,8 @@ from repbasis import (  # noqa: E402
     trace_to_dict,
     verify_trace,
 )
+from repbasis import verify  # noqa: E402
+from repbasis.trace import expected_m_covered  # noqa: E402
 from repbasis.verify import _decompose  # noqa: E402
 
 BASE = trace_to_dict(build(RepTarget.constant(1), PhiSpec.parse("pow:1/4"), 1))
@@ -156,11 +160,11 @@ def decompositions(draw):
 def test_derived_union_counts_equal_a_recount(case):
     A, added, kind = case
     union = sum_counter(A.union(added))
-    counts = sum_counter(A)
-    report, _ = _decompose(A, counts, tuple(sorted(added)), kind)
-    assert counts == union
-    # Counter equality ignores keys whose count is 0
-    assert set(counts) == set(union)
+    sums, repeats = _split(sum_counter(A))
+    report, top = _decompose(A, sums, repeats, tuple(sorted(added)), kind)
+    assert (sums, dict(repeats)) == _split(union)
+    new_sums = [a + t for a in A for t in added] + [s + t for s in added for t in added]
+    assert top == max(union[n] for n in new_sums)
     assert check_decomposition(A, added, kind) == report
     checks = {c.condition: c for c in report.checks}
     witnesses, detail = _reference_decomposition(A, added, kind, union)
@@ -168,6 +172,50 @@ def test_derived_union_counts_equal_a_recount(case):
         assert (checks[name].passed, checks[name].witness) == (witness is None, witness)
     if detail is not None:
         assert checks["piecewise_formula"].detail == detail
+
+
+# f = 1, 2 and INFINITY, and zeros prescribed on |n| <= 2 with the default 1
+CHAIN_TARGETS = (RepTarget.constant(1), RepTarget.constant(2), RepTarget.constant(INFINITY),
+                 RepTarget(2, {n: 0 for n in range(-2, 3)}, 1))
+
+
+@st.composite
+def nested_chains(draw):
+    """A trace of 1-7 nested stages on [-12, 12], so that sums repeat in
+    stage 1 and decompositions often fail, under one of CHAIN_TARGETS."""
+    current = set(draw(st.lists(st.integers(-12, 12), max_size=7)))
+    stages = [StageRecord(1, FiniteBasis(tuple(sorted(current))), FiniteBasis(tuple(sorted(current))), 1)]
+    for index in range(2, draw(st.sampled_from((1, 3, 5, 7))) + 1):
+        size = draw(st.sampled_from((0, 2)) if index % 2 == 0 else st.integers(1, 3))
+        free = [n for n in range(-12, 13) if n not in current]
+        added = draw(st.lists(st.sampled_from(free), min_size=size, max_size=size, unique=True))
+        current |= set(added)
+        stages.append(StageRecord(index, FiniteBasis(tuple(sorted(current))), FiniteBasis(tuple(sorted(added))),
+                                  index if index % 2 else None))
+    u_prefix = (0,) * expected_m_covered(len(stages))
+    return ConstructionTrace(draw(st.sampled_from(CHAIN_TARGETS)), PhiSpec.parse("log2"), u_prefix, tuple(stages))
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(nested_chains())
+def test_the_walk_holds_each_stage_tally(trace):
+    # after each stage, on a passing decomposition or a failing one, the set
+    # and the repeats are a fresh count of the stage split in two, and the
+    # largest count is that count's largest
+    seen = []
+    stage_invariants = verify._stage_invariants
+
+    def spy(trace, s, nesting, sums, repeats, top, floor):
+        seen.append((set(sums), dict(repeats), top))
+        return stage_invariants(trace, s, nesting, sums, repeats, top, floor)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(verify, "_stage_invariants", spy)
+        report = verify_trace(trace)
+    counts = [sum_counter(s.set) for s in trace.stages]
+    assert seen == [(*_split(c), max(c.values(), default=0)) for c in counts]
+    pair_bounds = [c for c in report.invariants.checks if c.condition == "condition_1_pair_bound"]
+    assert [c.witness for c in pair_bounds] == [_reference_pair_bound(c, trace.f) for c in counts]
 
 
 @st.composite

@@ -85,6 +85,15 @@ class TestImportBoundary:
     def test_verify_imports_only_errors_repcore_and_trace(self):
         assert _package_imports("verify") <= {"errors", "repcore", "trace"}
 
+    def test_verify_imports_no_decision_procedure_of_the_builder_from_repcore(self):
+        # value types, counting primitives and the density bar; the target
+        # spiral is derived in verify from its definition
+        imported = {a.name for node in ast.walk(_tree("verify"))
+                    if isinstance(node, ast.ImportFrom) and node.module == "repcore" for a in node.names}
+        assert imported == {"INFINITY", "FiniteBasis", "RepTarget", "_require_basis", "counting",
+                            "density_demand", "density_exceeds", "rep_function", "sum_counter"}
+        assert not imported & {"TargetSequence", "target_prefix", "d0_of"}
+
     def test_trace_imports_only_errors_and_repcore(self):
         assert _package_imports("trace") <= {"errors", "repcore"}
 

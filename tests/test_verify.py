@@ -10,6 +10,7 @@ import pytest
 import repbasis.verify
 from repbasis import (
     INFINITY,
+    ConstructionTrace,
     KIND_BASE,
     KIND_DENSIFICATION,
     KIND_EXTENSION,
@@ -18,6 +19,8 @@ from repbasis import (
     PhiSpec,
     PreconditionViolatedError,
     RepTarget,
+    StageRecord,
+    TargetSequence,
     build,
     check_decomposition,
     check_equality_coverage,
@@ -205,15 +208,13 @@ class TestDecomposition:
             assert (checks[name].passed, checks[name].witness) == (witness is None, witness)
         if detail is not None:
             assert checks["piecewise_formula"].detail == detail
-        # the counts of A become the union's in place, on a passing stage and a failing one
-        counts = sum_counter(A)
-        _, top = _decompose(A, counts, tuple(sorted(added)), kind)
-        assert counts == union
-        # Counter equality ignores keys whose count is 0
-        assert set(counts) == set(union)
+        # the tally of A becomes the union's in place, on a passing stage and a failing one
+        sums, repeats = _split(sum_counter(A))
+        _, top = _decompose(A, sums, repeats, tuple(sorted(added)), kind)
+        assert (sums, dict(repeats)) == _split(union)
         new_sums = [a + t for a in A for t in added]
         new_sums += [s + t for s, t in combinations_with_replacement(sorted(added), 2)]
-        assert top == max(counts[n] for n in new_sums)
+        assert top == max(union[n] for n in new_sums)
 
     def test_empty_added_rejected(self):
         with pytest.raises(PreconditionViolatedError):
@@ -304,6 +305,22 @@ class TestVerifyTrace:
         assert len(report.upper_bounds) == 2
         payload = report.to_dict()
         assert json.loads(json.dumps(payload)) == payload
+
+    def test_an_under_emitting_target_spiral_is_caught(self, monkeypatch):
+        # the builder's spiral emits each n once too few; the verifier derives
+        # the spiral from f alone and names the first term that differs
+        def under_emit(seq):
+            seq._round += 1
+            t, value = seq._round, seq.source._value
+            seq._live.extend((0, 1, -1) if t == 1 else (t, -t))
+            seq._live = [n for n in seq._live if t - (abs(n) or 1) < value(n) - 1]
+            seq._emitted.extend(seq._live)
+
+        monkeypatch.setattr(TargetSequence, "_advance_round", under_emit)
+        trace = build(F_TWOS, "pow:2/5", 4)
+        assert trace.u_prefix == (0, 1, -1, 2, -2)
+        failed = [c for c in verify_trace(trace).invariants.failures() if c.condition == "u_prefix_consistency"]
+        assert [(c.witness, c.detail) for c in failed] == [(2, "u_prefix[3] is 2, enumeration gives 0")]
 
     def test_infinite_origin_skips_nothing_here(self):
         f = RepTarget(0, {0: INFINITY}, 1)
@@ -412,6 +429,12 @@ def _bundle_from_oracles(trace) -> dict:
               and all(d["passed"] for d in decompositions + upper_bounds))
     return {"passed": passed, "invariants": invariants, "decompositions": decompositions,
             "equality": equality, "upper_bounds": upper_bounds}
+
+
+def _split(counts):
+    """A pair-sum Counter as the verifier tallies it: the set of its sums and
+    the counts of those that repeat."""
+    return set(counts), {n: r for n, r in counts.items() if r > 1}
 
 
 def _reference_pair_bound(counts, f):
@@ -527,10 +550,8 @@ class TestOnePass:
 
     def test_a_nested_trace_is_counted_at_stage_1_only(self, ones_trace, monkeypatch):
         # every later stage takes the count its decomposition derives
-        calls = []
-        monkeypatch.setattr(
-            repbasis.verify, "sum_counter", lambda A: calls.append(A) or sum_counter(A)
-        )
+        calls, recount = [], repbasis.verify._recount
+        monkeypatch.setattr(repbasis.verify, "_recount", lambda A: calls.append(A) or recount(A))
         verify_trace(ones_trace)
         assert calls == [ones_trace.stages[0].set]
         # an extension that adds nothing reuses its predecessor's count
@@ -543,11 +564,38 @@ class TestOnePass:
         assert calls == [ones_trace.stages[0].set]
         assert [idx for idx, _ in report.decompositions] == [3]
 
+    def test_a_failed_decomposition_hands_the_union_tally_to_the_next_stage(self, monkeypatch):
+        # stage 2 adjoins 5 and 40 to {1, 3, 7}: 1 + 5 = 3 + 3, 3 + 5 = 1 + 7 and
+        # 5 + 5 = 3 + 7, so its decomposition fails; stage 3 adjoins 100, whose
+        # sums are all new, so it passes on the tally that stage 2 left
+        sets = [(1, 3, 7), (1, 3, 5, 7, 40), (1, 3, 5, 7, 40, 100)]
+        stages = (StageRecord(1, FiniteBasis(sets[0]), FiniteBasis(sets[0]), 1),
+                  StageRecord(2, FiniteBasis(sets[1]), FiniteBasis((5, 40))),
+                  StageRecord(3, FiniteBasis(sets[2]), FiniteBasis((100,)), 2))
+        seen, calls = [], []
+        stage_invariants, recount = repbasis.verify._stage_invariants, repbasis.verify._recount
+
+        def spy(trace, s, nesting, sums, repeats, top, floor):
+            seen.append((set(sums), dict(repeats), top))
+            return stage_invariants(trace, s, nesting, sums, repeats, top, floor)
+
+        monkeypatch.setattr(repbasis.verify, "_stage_invariants", spy)
+        monkeypatch.setattr(repbasis.verify, "_recount", lambda A: calls.append(A) or recount(A))
+        report = verify_trace(ConstructionTrace(F_ONES, LOG2, (0, 1), stages))
+        assert calls == [stages[0].set]
+        decompositions = dict(report.decompositions)
+        assert (decompositions[2].passed, decompositions[3].passed) == (False, True)
+        assert [(c.condition, c.witness) for c in decompositions[2].failures()] == [
+            ("old_cross_disjoint", 6), ("old_self_disjoint", 10), ("piecewise_formula", 6)]
+        assert seen[1][1] == seen[2][1] == {6: 2, 8: 2, 10: 2}
+        assert seen == [(*_split(c), max(c.values())) for c in map(sum_counter, (s.set for s in stages))]
+        pair_bounds = [(c.passed, c.witness, c.detail) for c in report.invariants.checks
+                       if c.condition == "condition_1_pair_bound"]
+        assert pair_bounds[1:] == [(False, 6, "rep count 2 exceeds prescribed 1 at n=6")] * 2
+
     def test_only_stage_1_and_stages_that_are_not_nested_are_counted(self, monkeypatch):
-        calls = []
-        monkeypatch.setattr(
-            repbasis.verify, "sum_counter", lambda A: calls.append(A) or sum_counter(A)
-        )
+        calls, recount = [], repbasis.verify._recount
+        monkeypatch.setattr(repbasis.verify, "_recount", lambda A: calls.append(A) or recount(A))
         for (f, phi), mutation in product(BUILT, sorted(MUTATIONS)):
             data = trace_to_dict(build(f, phi, 1))
             MUTATIONS[mutation](data)
