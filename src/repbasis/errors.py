@@ -2,6 +2,9 @@
 messages name a refused value by, and the one rule each for integer and
 typed arguments."""
 
+import math
+import sys
+
 
 class RepbasisError(Exception):
     """Base class for all package errors."""
@@ -49,10 +52,28 @@ class MalformedTraceError(RepbasisError):
     code = "MALFORMED_TRACE"
 
 
+def _digits_past_limit(n: int) -> int:
+    """0 when str(n) is within the interpreter's limit on int-to-str
+    conversion (0: none; absent before Python 3.11); otherwise the most
+    digits n can have, as a b-bit integer has at most b*log10(2) + 1."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    digits = int(n.bit_length() * math.log10(2)) + 1
+    return digits if limit and digits > limit and abs(n) >= 10**limit else 0
+
+
+def _int_text(n: int) -> str:
+    """str(n), or "<integer of up to N digits>" (signed when n < 0) when
+    the interpreter's limit refuses str(n)."""
+    digits = _digits_past_limit(n)
+    return f"{'-' if n < 0 else ''}<integer of up to {digits} digits>" if digits else str(n)
+
+
 def echo(value) -> str:
     """repr(value), cut to 80 characters and marked with "..." when longer,
-    so that a message naming a refused value of any size stays short."""
-    text = repr(value)
+    so that a message naming a refused value of any size stays short; an
+    int past the interpreter's limit on int-to-str digits is named by
+    _int_text."""
+    text = _int_text(value) if type(value) is int else repr(value)
     return text if len(text) <= 80 else text[:80] + "..."
 
 

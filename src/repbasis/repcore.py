@@ -17,7 +17,8 @@ from fractions import Fraction
 from itertools import chain
 from typing import Iterable, Iterator, Mapping
 
-from .errors import EmptySetError, InputTooLargeError, PreconditionViolatedError, echo, require_int, require_type
+from .errors import (EmptySetError, InputTooLargeError, PreconditionViolatedError, _digits_past_limit, echo,
+                     require_int, require_type)
 
 # Sentinel for "no finite bound at this n".  A plain float keeps min(),
 # comparisons and JSON handling unsurprising.
@@ -156,12 +157,12 @@ class RepTarget:
         return cls(data["window"], values, _decode_count(data["default"], what="default"))
 
 
-def _require_ints(items: tuple) -> None:
+def _require_ints(items, what: str = "element", error: type[Exception] = ValueError) -> None:
     """Refuse any item that is not an int, in one C-level pass; the first
-    offender is looked up, and named, only on failure."""
+    offender is looked up, and named as `what` with `error`, only on failure."""
     if not {int}.issuperset(map(type, items)):
         for e in items:
-            require_int(e, "element")
+            require_int(e, what, error=error)
 
 
 @dataclass(frozen=True, eq=True)
@@ -349,11 +350,10 @@ class PhiSpec:
                 power = round(math.log10(self.parameter.numerator) - math.log10(self.parameter.denominator))
                 raise ValueError(f"phi parameter of {self.kind} is about 10^{power}, outside the float range")
             # str() writes the parameter in full, which the interpreter refuses
-            # past its digit limit (0: none; absent on older interpreters); a
-            # b-bit integer has at most b*log10(2) + 1 digits
-            limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-            digits = int(max(map(int.bit_length, self.parameter.as_integer_ratio())) * math.log10(2)) + 1
-            if limit and digits > limit:
+            # past its digit limit
+            digits = max(map(_digits_past_limit, self.parameter.as_integer_ratio()))
+            if digits:
+                limit = sys.get_int_max_str_digits()
                 raise ValueError(f"phi parameter of {self.kind} has up to {digits} digits, past the limit of {limit}")
         # converted once, as evaluate reads it on every call; not a field, so
         # eq, hash and repr see only kind and parameter
@@ -425,7 +425,7 @@ def density_demand(x, phi: PhiSpec) -> float:
     if type(x) is not int and not (isinstance(x, (int, float)) and x < 1):
         require_int(x, "x", 1)
     if x < 1:
-        raise ValueError(f"the density bar is defined for x >= 1, got x={x}")
+        raise ValueError(f"the density bar is defined for x >= 1, got x={echo(x)}")
     if type(phi) is not PhiSpec:  # the scans pass a PhiSpec, so they skip the check
         require_type(phi, PhiSpec, "phi")
     root = real_sqrt(x)

@@ -23,8 +23,8 @@ import sys
 from dataclasses import dataclass
 from json.encoder import c_make_encoder, encode_basestring_ascii
 
-from .errors import MalformedTraceError, echo, require_int, require_type
-from .repcore import FiniteBasis, PhiSpec, RepTarget, _check_keys, _json_loads
+from .errors import MalformedTraceError, _digits_past_limit, echo, require_int, require_type
+from .repcore import FiniteBasis, PhiSpec, RepTarget, _check_keys, _json_loads, _require_ints
 
 KIND_BASE = "BASE"
 KIND_EXTENSION = "TARGET_EXTENSION"
@@ -99,6 +99,11 @@ class ConstructionTrace:
                 raise MalformedTraceError(f"stage {pos} must carry x exactly when its index is odd")
             if s.x is not None and require_int(s.x, f"stage {pos} x", error=MalformedTraceError) < 1:
                 raise MalformedTraceError(f"stage {pos} checkpoint x must be positive, got {echo(s.x)}")
+            # a report writes x in full, so x must be printable; the loader
+            # cannot read, nor trace_dumps write, a longer one
+            if s.x is not None and (digits := _digits_past_limit(s.x)):
+                limit = sys.get_int_max_str_digits()
+                raise MalformedTraceError(f"stage {pos} checkpoint x has up to {digits} digits, past the limit of {limit}")
         want_targets = expected_m_covered(len(stages))
         if len(self.u_prefix) != want_targets:
             raise MalformedTraceError(
@@ -189,9 +194,7 @@ def trace_dumps(trace: ConstructionTrace) -> str:
 
 def _int_list(raw, what: str, container: type = list):
     require_type(raw, container, what, MalformedTraceError)
-    if not {int}.issuperset(map(type, raw)):  # one C-level pass; walk only to name the offender
-        for v in raw:
-            require_int(v, f"{what} entry", error=MalformedTraceError)
+    _require_ints(raw, f"{what} entry", MalformedTraceError)
     return raw
 
 

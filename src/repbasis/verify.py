@@ -15,7 +15,7 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import chain
 
-from .errors import PreconditionViolatedError, echo, require_int, require_type
+from .errors import PreconditionViolatedError, _int_text, echo, require_int, require_type
 from .repcore import (
     INFINITY,
     FiniteBasis,
@@ -107,17 +107,14 @@ def check_invariants(trace: ConstructionTrace) -> InvariantReport:
     return _walk(trace)[0]
 
 
-def _recount(A: FiniteBasis) -> tuple[set, Counter, int]:
+def _recount(A: FiniteBasis) -> tuple[set, Counter]:
     """The pair-sum tally of A, as the set of its distinct sums and the
-    counts of those that occur more than once, and the largest count.  When
-    the k(k+1)/2 pairs give as many distinct sums, nothing repeats and the
-    pairs are not counted again."""
+    counts of those that occur more than once.  When the k(k+1)/2 pairs give
+    as many distinct sums, nothing repeats and the pairs are not counted
+    again."""
     els, k = A.elements, len(A)
     sums = {a + b for i, a in enumerate(els) for b in els[i:]}
-    if len(sums) == k * (k + 1) // 2:
-        return sums, Counter(), min(k, 1)
-    repeats = _repeats(sum_counter(A))
-    return sums, repeats, max(repeats.values())
+    return sums, Counter() if len(sums) == k * (k + 1) // 2 else _repeats(sum_counter(A))
 
 
 def _repeats(counts: Counter) -> Counter:
@@ -131,13 +128,12 @@ def _stage_invariants(
     nesting: CheckResult,
     sums: set,
     repeats: Counter,
-    top: int,
-    floor: int | float,
+    zeros: list[int],
 ) -> list[CheckResult]:
     """Zero-freeness, nesting, pair bound, coverage and density of one stage;
     `nesting` is its _nesting_check, `sums` and `repeats` its pair-sum tally
-    (the distinct sums, and the counts of those that repeat), `top` its
-    largest count and `floor` the smallest value trace.f prescribes anywhere."""
+    (the distinct sums, and the counts of those that repeat), and `zeros`
+    the points where trace.f prescribes 0."""
     f = trace.f
 
     def count(n: int) -> int:
@@ -151,14 +147,10 @@ def _stage_invariants(
 
     checks.append(nesting)
 
-    # counts that all stay within the smallest prescribed value meet every
-    # bound.  Otherwise a count above f(n) is a repeat above f(n), or a sum
-    # met once where f prescribes 0
-    if top <= floor:
-        n = None
-    else:
-        over = [n for n, r in repeats.items() if r > f._value(n)]
-        n = min(over + [z for z in f.zero_points() if z in sums], default=None)
+    # a count above f(n) is a repeat above f(n), or a sum met once where f
+    # prescribes 0
+    over = [n for n, r in repeats.items() if r > f._value(n)]
+    n = min(over + [z for z in zeros if z in sums], default=None)
     if n is not None:
         detail = f"rep count {count(n)} exceeds prescribed {f._value(n)} at n={n}"
         checks.append(_fail(COND_PAIR_BOUND, s.index, n, detail))
@@ -262,19 +254,16 @@ def check_decomposition(A: FiniteBasis, added, kind: str) -> DecompositionReport
         raise PreconditionViolatedError(
             f"an extension adjoins exactly two elements, got {len(added_tuple)}"
         )
-    sums, repeats, _ = _recount(A)
-    return _decompose(A, sums, repeats, added_tuple, kind)[0]
+    return _decompose(A, *_recount(A), added_tuple, kind)
 
 
-def _decompose(
-    A: FiniteBasis, sums: set, repeats: Counter, added: tuple[int, ...], kind: str
-) -> tuple[DecompositionReport, int]:
+def _decompose(A: FiniteBasis, sums: set, repeats: Counter, added: tuple[int, ...], kind: str) -> DecompositionReport:
     """The decomposition checks of A plus the sorted `added`, given the
     pair-sum tally of A (`sums`, its distinct sums, and `repeats`, the counts
-    of those that repeat), which becomes the union's in place, and the
-    largest union count on a cross or self sum.  With F the distinct added
-    elements that A lacks, the union's sums are, as a multiset, the old sums,
-    a + t for a in A and t in F, and t + t' for t <= t' in F.
+    of those that repeat), which becomes the union's in place.  With F the
+    distinct added elements that A lacks, the union's sums are, as a
+    multiset, the old sums, a + t for a in A and t in F, and t + t' for
+    t <= t' in F.
 
     The cross and self sums are added to `sums` once, and the number of
     sums that gains decides all five uniqueness and disjointness checks.
@@ -294,11 +283,10 @@ def _decompose(
     # `added`, every new sum but u is met once, u once more than before, and
     # the piecewise formula holds by arithmetic
     if len(sums) - before == len(cross) + len(self_part) - had_u:
-        top = 1
         if had_u:
-            top = repeats[u] = (repeats.get(u) or 1) + 1
+            repeats[u] = (repeats.get(u) or 1) + 1
         u_exempt = _disjoint_check("old_self_disjoint", set(), set(), exempt=u)
-        return DecompositionReport(kind=kind, checks=(*_PASSED, u_exempt, _PIECEWISE_OK)), top
+        return DecompositionReport(kind=kind, checks=(*_PASSED, u_exempt, _PIECEWISE_OK))
     # a check fails: count A afresh, as `sums` no longer tells the old sums
     # from the new
     counts = sum_counter(A)
@@ -325,8 +313,7 @@ def _decompose(
     # is one; only the repeats change
     repeats.clear()
     repeats.update(_repeats(counts))
-    # the union's counts differ from A's only on cross and self sums
-    return DecompositionReport(kind=kind, checks=tuple(checks)), max(map(counts.get, expected))
+    return DecompositionReport(kind=kind, checks=tuple(checks))
 
 
 def _part_checks(old, cross: list[int], self_part: list[int], u: int | None) -> list[CheckResult]:
@@ -403,7 +390,8 @@ def _run_bound(run: tuple[StageRecord, ...], x: int, r: int) -> CheckResult:
     s = run[bisect_left(run, True, hi=len(run) - 1, key=exceeds)] if exceeds(last) else last
     k = counting(s.set, -x, x)
     fits, pairs, slots = _pigeonhole(k, x, r)
-    detail = f"stages {run[0].index}-{last.index}: k={k}, k(k+1)/2={pairs}, bound r(4x+1)={slots}"
+    # r may be an f value near the digit limit, so the product may pass it
+    detail = f"stages {run[0].index}-{last.index}: k={k}, k(k+1)/2={pairs}, bound r(4x+1)={_int_text(slots)}"
     if fits:
         return _ok("upper_bound", s.index, detail)
     return _fail("upper_bound", s.index, x, f"{detail}; stages {s.index}-{last.index} fail")
@@ -520,20 +508,17 @@ def _walk(trace: ConstructionTrace) -> tuple[InvariantReport, tuple, tuple]:
 
     The walk tallies each pair once, as a set of the distinct sums and a
     Counter of the sums that repeat.  Stage 1, and a stage whose nesting
-    check fails, are tallied pair by pair; their largest count is 1 when
-    their pairs give distinct sums and is read from sum_counter otherwise.
-    Any other stage takes the tally its decomposition derives in place
-    from its predecessor's: the cross and self sums are added to the set
-    once, and the union is counted afresh only when a decomposition check
-    fails.
-    Counts only grow along a nested chain, so such a stage's largest count
-    is its predecessor's or one on its cross and self sums.  A stage that
-    is recounted also opens a nested run, and _run_bound writes each run's
+    check fails, are tallied pair by pair, and sum_counter counts them only
+    when their pairs do not give distinct sums.  Any other stage takes the
+    tally its decomposition derives in place from its predecessor's: the
+    cross and self sums are added to the set once, and the union is counted
+    afresh only when a decomposition check fails.  A stage that is
+    recounted also opens a nested run, and _run_bound writes each run's
     records once the walk is done.
     """
     require_type(trace, ConstructionTrace, "trace")
     bounds = [(x, r) for _, x, _ in trace.checkpoints() if (r := trace.f.max_finite(2 * x)) is not None]
-    floor = min(min(trace.f.values.values()), trace.f.default)
+    zeros = trace.f.zero_points()
     invariants: list[CheckResult] = []
     decompositions = []
     starts = []  # the position of each nested run's first stage
@@ -541,13 +526,11 @@ def _walk(trace: ConstructionTrace) -> tuple[InvariantReport, tuple, tuple]:
     for i, s in enumerate(trace.stages):
         nesting = _nesting_check(s, prev)
         if s.kind != KIND_BASE and len(s.added) > 0:
-            report, new_top = _decompose(prev, sums, repeats, s.added.elements, s.kind)
-            decompositions.append((s.index, report))
-            top = max(top, new_top)
+            decompositions.append((s.index, _decompose(prev, sums, repeats, s.added.elements, s.kind)))
         if prev is None or not nesting.passed:
             starts.append(i)
-            sums, repeats, top = _recount(s.set)
-        invariants += _stage_invariants(trace, s, nesting, sums, repeats, top, floor)
+            sums, repeats = _recount(s.set)
+        invariants += _stage_invariants(trace, s, nesting, sums, repeats, zeros)
         prev = s.set
     stages = trace.stages
     upper_bounds = tuple(_run_bound(stages[a:b], x, r)

@@ -310,6 +310,34 @@ class TestVerify:
         assert lines[-1] == "FAIL"
         assert any(line.startswith(f"FAIL condition_3_density stage=3 witness={x}:") for line in lines)
 
+    def test_a_prescribed_count_at_the_digit_limit_builds_and_verifies(self, tmp_path, digit_limit):
+        # r(4x+1) has 4302 digits, which verify once tried to print in full
+        target, trace, report = (tmp_path / name for name in ("big.json", "big.trace.json", "big.report.json"))
+        target.write_text(json.dumps({"window": 0, "values": {"0": 1}, "default": 9 * 10**(digit_limit - 1)}))
+        limit = {"PYTHONINTMAXSTRDIGITS": str(digit_limit)}
+        run_cli("build", "--f", str(target), "--phi", "log2", "--stages", "1", "--out", str(trace),
+                env_extra=limit, check=True)
+        result = run_cli("verify", "--trace", str(trace), "--report", str(report), env_extra=limit)
+        assert (result.returncode, result.stderr) == (0, "")
+        assert result.stdout.splitlines()[-1] == "PASS"
+        bounds = [c["detail"] for c in json.loads(report.read_text())["upper_bounds"]]
+        assert bounds == ["stages 1-3: k=3, k(k+1)/2=6, bound r(4x+1)=<integer of up to 4303 digits>",
+                          "stages 1-3: k=6, k(k+1)/2=21, bound r(4x+1)=<integer of up to 4304 digits>"]
+
+    def test_a_checkpoint_at_the_digit_limit_fails_its_density(self, tmp_path, ones_trace_file, digit_limit):
+        x = 3 * 10**(digit_limit - 1)
+        data = json.loads(ones_trace_file.read_text())
+        data["stages"][2]["x"] = x
+        ones_trace_file.write_text(json.dumps(data))
+        report = tmp_path / "report.json"
+        result = run_cli("verify", "--trace", str(ones_trace_file), "--report", str(report),
+                         env_extra={"PYTHONINTMAXSTRDIGITS": str(digit_limit)})
+        assert (result.returncode, result.stderr) == (1, "")
+        assert result.stdout.splitlines()[-1] == "FAIL"
+        failed = [(c["condition"], c["witness"]) for c in json.loads(report.read_text())["invariants"]["checks"]
+                  if not c["passed"]]
+        assert failed == [("condition_3_density", x)]
+
     @pytest.mark.parametrize("phi", ["clog:1e-400", "pow:1e-400"])
     def test_phi_parameter_outside_the_float_range(self, ones_trace_file, phi):
         data = json.loads(ones_trace_file.read_text())

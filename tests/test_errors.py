@@ -29,7 +29,8 @@ from repbasis import (
     upper_bound_check,
     verify_trace,
 )
-from repbasis.errors import require_int
+from repbasis.errors import _int_text, echo, require_int
+from repbasis.trace import canonical_json
 
 A = FiniteBasis((1, 2))
 # f = 1 on the window |n| <= 2 but f(1) = 3, and 2 outside it
@@ -145,6 +146,72 @@ def test_an_in_memory_trace_field_of_another_type_is_refused(field, reader):
     error = TypeError if field == "trace" else MalformedTraceError
     with pytest.raises(error, match=f"^{re.escape(message)}$"):
         reader(swap(trace))
+
+
+# entry -> (call with the refused value, error class, message around it); each
+# once raised the interpreter's ValueError on an integer too long to print
+PAST_THE_DIGIT_LIMIT = {
+    "upper_bound_check x": (lambda v: upper_bound_check(FiniteBasis(()), v, 1), PreconditionViolatedError,
+                            "x must be an integer >= 0, got {}"),
+    "build L": (lambda v: build(RepTarget.constant(1), "log2", v), ValueError,
+                "stage count L must be an integer >= 1, got {}"),
+    "TargetSequence.prefix m": (lambda v: TargetSequence(RepTarget.constant(1)).prefix(v), ValueError,
+                                "prefix length must be an integer >= 0, got {}"),
+    "RepTarget window": (lambda v: RepTarget(v, {}, 1), ValueError, "window must be an integer >= 0, got {}"),
+    "density_demand x": (lambda v: density_demand(v, PhiSpec.parse("log2")), ValueError,
+                         "the density bar is defined for x >= 1, got x={}"),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(PAST_THE_DIGIT_LIMIT))
+def test_an_integer_past_the_digit_limit_is_named_by_its_digit_count(digit_limit, entry):
+    call, error, message = PAST_THE_DIGIT_LIMIT[entry]
+    with pytest.raises(error) as refused:
+        call(-10**5000)
+    assert str(refused.value) == message.format("-<integer of up to 5001 digits>")
+
+
+class TestEcho:
+    def test_an_integer_is_named_in_full_up_to_the_digit_limit(self, digit_limit):
+        longest = 10**digit_limit - 1
+        assert _int_text(longest) == str(longest)
+        assert echo(longest) == "9" * 80 + "..."
+        assert echo(-longest) == "-" + "9" * 79 + "..."
+        assert (_int_text(longest + 1), _int_text(-longest - 1)) == (
+            "<integer of up to 4301 digits>", "-<integer of up to 4301 digits>")
+        assert echo(longest + 1) == "<integer of up to 4301 digits>"
+
+    @pytest.mark.parametrize("value", [0, -3, 10**100, True, 0.5, -2.5e300, "7", [1, 2]])
+    def test_a_value_within_the_limit_is_named_by_its_repr(self, digit_limit, value):
+        text = repr(value)
+        assert echo(value) == (text if len(text) <= 80 else text[:80] + "...")
+
+    @pytest.mark.parametrize("x", [0, -3, 0.5, -2.5e300])
+    def test_the_density_bar_names_x_as_it_did(self, x):
+        with pytest.raises(ValueError, match=f"^the density bar is defined for x >= 1, got x={re.escape(str(x))}$"):
+            density_demand(x, PhiSpec.parse("log2"))
+
+
+def test_an_in_memory_checkpoint_past_the_digit_limit_is_refused(digit_limit):
+    # verify_trace once raised the interpreter's ValueError while writing its
+    # density detail
+    trace = build(RepTarget.constant(1), "log2", 1)
+    stage = dataclasses.replace(trace.stages[2], x=10**5000 + 1)
+    message = "^stage 3 checkpoint x has up to 5001 digits, past the limit of 4300$"
+    with pytest.raises(MalformedTraceError, match=message):
+        dataclasses.replace(trace, stages=(*trace.stages[:2], stage))
+
+
+def test_a_checkpoint_at_the_digit_limit_gets_a_verdict(digit_limit):
+    # r(4x+1) has 4301 digits, past what the interpreter prints
+    x = 10**digit_limit - 1
+    trace = build(RepTarget.constant(1), "log2", 1)
+    trace = dataclasses.replace(trace, stages=(*trace.stages[:2], dataclasses.replace(trace.stages[2], x=x)))
+    report = verify_trace(trace)
+    assert [(c.condition, c.stage, c.witness) for c in report.invariants.failures()] == [
+        ("condition_3_density", 3, x)]
+    assert report.upper_bounds[-1].detail == "stages 1-3: k=6, k(k+1)/2=21, bound r(4x+1)=<integer of up to 4301 digits>"
+    assert canonical_json(report.to_dict())
 
 
 class TestRequireInt:

@@ -161,10 +161,9 @@ def test_derived_union_counts_equal_a_recount(case):
     A, added, kind = case
     union = sum_counter(A.union(added))
     sums, repeats = _split(sum_counter(A))
-    report, top = _decompose(A, sums, repeats, tuple(sorted(added)), kind)
+    report = _decompose(A, sums, repeats, tuple(sorted(added)), kind)
+    # the tally of A becomes the union's in place, on a passing stage and a failing one
     assert (sums, dict(repeats)) == _split(union)
-    new_sums = [a + t for a in A for t in added] + [s + t for s in added for t in added]
-    assert top == max(union[n] for n in new_sums)
     assert check_decomposition(A, added, kind) == report
     checks = {c.condition: c for c in report.checks}
     witnesses, detail = _reference_decomposition(A, added, kind, union)
@@ -201,19 +200,19 @@ def nested_chains(draw):
 def test_the_walk_holds_each_stage_tally(trace):
     # after each stage, on a passing decomposition or a failing one, the set
     # and the repeats are a fresh count of the stage split in two, and the
-    # largest count is that count's largest
+    # pair bound is checked against every zero of f
     seen = []
     stage_invariants = verify._stage_invariants
 
-    def spy(trace, s, nesting, sums, repeats, top, floor):
-        seen.append((set(sums), dict(repeats), top))
-        return stage_invariants(trace, s, nesting, sums, repeats, top, floor)
+    def spy(trace, s, nesting, sums, repeats, zeros):
+        seen.append((set(sums), dict(repeats), list(zeros)))
+        return stage_invariants(trace, s, nesting, sums, repeats, zeros)
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(verify, "_stage_invariants", spy)
         report = verify_trace(trace)
     counts = [sum_counter(s.set) for s in trace.stages]
-    assert seen == [(*_split(c), max(c.values(), default=0)) for c in counts]
+    assert seen == [(*_split(c), trace.f.zero_points()) for c in counts]
     pair_bounds = [c for c in report.invariants.checks if c.condition == "condition_1_pair_bound"]
     assert [c.witness for c in pair_bounds] == [_reference_pair_bound(c, trace.f) for c in counts]
 

@@ -3,7 +3,6 @@
 import math
 import random
 import re
-import sys
 from collections import Counter
 from fractions import Fraction
 
@@ -510,16 +509,6 @@ class TestPhiSpec:
             PhiSpec("clog", math.inf)
         with pytest.raises(ValueError, match="bad phi parameter 0.25"):
             PhiSpec("pow", 0.25)
-
-    @pytest.fixture
-    def digit_limit(self):
-        # the interpreter's default limit on int-to-str conversion
-        if not hasattr(sys, "set_int_max_str_digits"):
-            pytest.skip("this interpreter has no limit on int-to-str conversion")
-        limit = sys.get_int_max_str_digits()
-        sys.set_int_max_str_digits(4300)
-        yield
-        sys.set_int_max_str_digits(limit)
 
     def test_a_parameter_too_long_to_print_is_refused(self, digit_limit):
         # 1 + 10**-5000 is inside the float range, but str() would write its

@@ -210,11 +210,9 @@ class TestDecomposition:
             assert checks["piecewise_formula"].detail == detail
         # the tally of A becomes the union's in place, on a passing stage and a failing one
         sums, repeats = _split(sum_counter(A))
-        _, top = _decompose(A, sums, repeats, tuple(sorted(added)), kind)
+        report = _decompose(A, sums, repeats, tuple(sorted(added)), kind)
         assert (sums, dict(repeats)) == _split(union)
-        new_sums = [a + t for a in A for t in added]
-        new_sums += [s + t for s, t in combinations_with_replacement(sorted(added), 2)]
-        assert top == max(union[n] for n in new_sums)
+        assert report.checks == tuple(checks.values())
 
     def test_empty_added_rejected(self):
         with pytest.raises(PreconditionViolatedError):
@@ -575,9 +573,9 @@ class TestOnePass:
         seen, calls = [], []
         stage_invariants, recount = repbasis.verify._stage_invariants, repbasis.verify._recount
 
-        def spy(trace, s, nesting, sums, repeats, top, floor):
-            seen.append((set(sums), dict(repeats), top))
-            return stage_invariants(trace, s, nesting, sums, repeats, top, floor)
+        def spy(trace, s, nesting, sums, repeats, zeros):
+            seen.append((set(sums), dict(repeats)))
+            return stage_invariants(trace, s, nesting, sums, repeats, zeros)
 
         monkeypatch.setattr(repbasis.verify, "_stage_invariants", spy)
         monkeypatch.setattr(repbasis.verify, "_recount", lambda A: calls.append(A) or recount(A))
@@ -588,10 +586,13 @@ class TestOnePass:
         assert [(c.condition, c.witness) for c in decompositions[2].failures()] == [
             ("old_cross_disjoint", 6), ("old_self_disjoint", 10), ("piecewise_formula", 6)]
         assert seen[1][1] == seen[2][1] == {6: 2, 8: 2, 10: 2}
-        assert seen == [(*_split(c), max(c.values())) for c in map(sum_counter, (s.set for s in stages))]
+        counts = [sum_counter(s.set) for s in stages]
+        assert seen == [_split(c) for c in counts]
         pair_bounds = [(c.passed, c.witness, c.detail) for c in report.invariants.checks
                        if c.condition == "condition_1_pair_bound"]
-        assert pair_bounds[1:] == [(False, 6, "rep count 2 exceeds prescribed 1 at n=6")] * 2
+        assert [w for _, w, _ in pair_bounds] == [_reference_pair_bound(c, F_ONES) for c in counts]
+        assert pair_bounds == [(True, None, "pair-sum counts within bounds")] + [
+            (False, 6, "rep count 2 exceeds prescribed 1 at n=6")] * 2
 
     def test_only_stage_1_and_stages_that_are_not_nested_are_counted(self, monkeypatch):
         calls, recount = [], repbasis.verify._recount
