@@ -68,12 +68,23 @@ def _int_text(n: int) -> str:
     return f"{'-' if n < 0 else ''}<integer of up to {digits} digits>" if digits else str(n)
 
 
+def _refuse_past_limit(n: int, what: str, error: type[Exception] = ValueError) -> None:
+    """Refuse n, which a message or a file must write in full, when the
+    interpreter's limit on int-to-str digits refuses str(n), with the one
+    message shape "<what> has up to N digits, past the limit of L"."""
+    if digits := _digits_past_limit(n):
+        raise error(f"{what} has up to {digits} digits, past the limit of {sys.get_int_max_str_digits()}")
+
+
 def echo(value) -> str:
     """repr(value), cut to 80 characters and marked with "..." when longer,
-    so that a message naming a refused value of any size stays short; an
-    int past the interpreter's limit on int-to-str digits is named by
-    _int_text."""
-    text = _int_text(value) if type(value) is int else repr(value)
+    so that a message naming a refused value of any size stays short.  When
+    the interpreter's limit on int-to-str digits refuses the repr, an int is
+    named by _int_text and any other value as holding such an int."""
+    try:
+        text = repr(value)
+    except ValueError:
+        text = _int_text(value) if type(value) is int else f"<{type(value).__name__} holding an integer too long to print>"
     return text if len(text) <= 80 else text[:80] + "..."
 
 

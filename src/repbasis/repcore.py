@@ -9,7 +9,6 @@ from __future__ import annotations
 import json
 import math
 import operator
-import sys
 from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass
@@ -17,7 +16,7 @@ from fractions import Fraction
 from itertools import chain
 from typing import Iterable, Iterator, Mapping
 
-from .errors import (EmptySetError, InputTooLargeError, PreconditionViolatedError, _digits_past_limit, echo,
+from .errors import (EmptySetError, InputTooLargeError, PreconditionViolatedError, _refuse_past_limit, echo,
                      require_int, require_type)
 
 # Sentinel for "no finite bound at this n".  A plain float keeps min(),
@@ -70,7 +69,7 @@ def _check_keys(data, required, optional=(), *, what: str, error=ValueError) -> 
     unexpected = sorted(data.keys() - required - set(optional))
     if missing or unexpected:
         found = (("missing", missing), ("unexpected", unexpected))
-        raise error(f"{what} keys: " + "; ".join(f"{word} {keys}" for word, keys in found if keys))
+        raise error(f"{what} keys: " + "; ".join(f"{word} {echo(keys)}" for word, keys in found if keys))
 
 
 @dataclass(frozen=True, eq=True)
@@ -350,11 +349,8 @@ class PhiSpec:
                 power = round(math.log10(self.parameter.numerator) - math.log10(self.parameter.denominator))
                 raise ValueError(f"phi parameter of {self.kind} is about 10^{power}, outside the float range")
             # str() writes the parameter in full, which the interpreter refuses
-            # past its digit limit
-            digits = max(map(_digits_past_limit, self.parameter.as_integer_ratio()))
-            if digits:
-                limit = sys.get_int_max_str_digits()
-                raise ValueError(f"phi parameter of {self.kind} has up to {digits} digits, past the limit of {limit}")
+            # past its digit limit; the larger of its two terms bounds the digits
+            _refuse_past_limit(max(map(abs, self.parameter.as_integer_ratio())), f"phi parameter of {self.kind}")
         # converted once, as evaluate reads it on every call; not a field, so
         # eq, hash and repr see only kind and parameter
         object.__setattr__(self, "_float", as_float)

@@ -50,18 +50,13 @@ class SidonSet(FiniteBasis):
 
 
 def is_sidon(items: Iterable[int]) -> bool:
-    """True when all pairwise sums of the distinct values are distinct."""
+    """True when all pairwise sums of the distinct values are distinct, that
+    is when k distinct values give k(k+1)/2 distinct sums a + b (a <= b)."""
     items = tuple(items)
     _require_ints(items)
     els = sorted(set(items))
-    seen = set()
-    for i, a in enumerate(els):
-        for b in els[i:]:
-            s = a + b
-            if s in seen:
-                return False
-            seen.add(s)
-    return True
+    k = len(els)
+    return len({a + b for i, a in enumerate(els) for b in els[i:]}) == k * (k + 1) // 2
 
 
 def _is_prime(p: int) -> bool:

@@ -23,7 +23,7 @@ import sys
 from dataclasses import dataclass
 from json.encoder import c_make_encoder, encode_basestring_ascii
 
-from .errors import MalformedTraceError, _digits_past_limit, echo, require_int, require_type
+from .errors import MalformedTraceError, _refuse_past_limit, echo, require_int, require_type
 from .repcore import FiniteBasis, PhiSpec, RepTarget, _check_keys, _json_loads, _require_ints
 
 KIND_BASE = "BASE"
@@ -99,11 +99,13 @@ class ConstructionTrace:
                 raise MalformedTraceError(f"stage {pos} must carry x exactly when its index is odd")
             if s.x is not None and require_int(s.x, f"stage {pos} x", error=MalformedTraceError) < 1:
                 raise MalformedTraceError(f"stage {pos} checkpoint x must be positive, got {echo(s.x)}")
-            # a report writes x in full, so x must be printable; the loader
-            # cannot read, nor trace_dumps write, a longer one
-            if s.x is not None and (digits := _digits_past_limit(s.x)):
-                limit = sys.get_int_max_str_digits()
-                raise MalformedTraceError(f"stage {pos} checkpoint x has up to {digits} digits, past the limit of {limit}")
+            # a report writes x and a pair sum in full, so both must be
+            # printable; the loader cannot read, nor trace_dumps write, a
+            # longer x.  a + a with |a| largest is the stage's largest pair
+            # sum, and a sum across two stages is bounded by the larger one's
+            if s.x is not None:
+                _refuse_past_limit(s.x, f"stage {pos} checkpoint x", MalformedTraceError)
+            _refuse_past_limit(2 * max(s.set.max_abs(), s.added.max_abs()), f"stage {pos} pair sum", MalformedTraceError)
         want_targets = expected_m_covered(len(stages))
         if len(self.u_prefix) != want_targets:
             raise MalformedTraceError(

@@ -15,7 +15,7 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import chain
 
-from .errors import PreconditionViolatedError, _int_text, echo, require_int, require_type
+from .errors import PreconditionViolatedError, _int_text, _refuse_past_limit, echo, require_int, require_type
 from .repcore import (
     INFINITY,
     FiniteBasis,
@@ -254,6 +254,9 @@ def check_decomposition(A: FiniteBasis, added, kind: str) -> DecompositionReport
         raise PreconditionViolatedError(
             f"an extension adjoins exactly two elements, got {len(added_tuple)}"
         )
+    # a witness or detail writes a pair sum in full, so it must be printable,
+    # as a trace's shape rules also demand; a + a with |a| largest is the largest
+    _refuse_past_limit(2 * max(A.max_abs(), -added_tuple[0], added_tuple[-1]), "pair sum", PreconditionViolatedError)
     return _decompose(A, *_recount(A), added_tuple, kind)
 
 
@@ -267,8 +270,8 @@ def _decompose(A: FiniteBasis, sums: set, repeats: Counter, added: tuple[int, ..
 
     The cross and self sums are added to `sums` once, and the number of
     sums that gains decides all five uniqueness and disjointness checks.
-    When one fails, A is counted afresh and the checks run one by one, so
-    that each names its smallest witness."""
+    When one fails, A and the union are counted afresh and the checks run
+    one by one, so that each names its smallest witness."""
     els = A.elements
     u = added[0] + added[1] if kind == KIND_EXTENSION else None
     cross = [t + a for t in added for a in els]
@@ -287,8 +290,8 @@ def _decompose(A: FiniteBasis, sums: set, repeats: Counter, added: tuple[int, ..
             repeats[u] = (repeats.get(u) or 1) + 1
         u_exempt = _disjoint_check("old_self_disjoint", set(), set(), exempt=u)
         return DecompositionReport(kind=kind, checks=(*_PASSED, u_exempt, _PIECEWISE_OK))
-    # a check fails: count A afresh, as `sums` no longer tells the old sums
-    # from the new
+    # a check fails: count A and the union afresh, as `sums` no longer tells
+    # the old sums from the new
     counts = sum_counter(A)
     checks = _part_checks(counts.keys(), cross, self_part, u)
     # the piecewise formula on every cross and self sum: 1 on a new sum, the old
@@ -297,22 +300,20 @@ def _decompose(A: FiniteBasis, sums: set, repeats: Counter, added: tuple[int, ..
     expected = dict.fromkeys(chain(cross, self_part), 1)
     for n in expected.keys() & counts.keys():
         expected[n] = counts[n] + (n == u)
-
-    fresh = sorted(set(added).difference(els))
-    counts.update(chain.from_iterable(map(t.__add__, chain(els, fresh[i:])) for i, t in enumerate(fresh)))
+    union = sum_counter(A.union(added))
     # one C-level comparison settles a full match, as every cross and self sum
     # is a key of the union's counts; otherwise the per-sum scan names the
     # smallest witness
-    if expected.items() <= counts.items():
+    if expected.items() <= union.items():
         checks.append(_PIECEWISE_OK)
     else:
-        n = next(n for n in sorted(expected) if counts[n] != expected[n])
-        detail = f"rep count at n={n} is {counts[n]}, piecewise formula gives {expected[n]}"
+        n = next(n for n in sorted(expected) if union[n] != expected[n])
+        detail = f"rep count at n={n} is {union[n]}, piecewise formula gives {expected[n]}"
         checks.append(_fail("piecewise_formula", None, n, detail))
     # `sums` already holds every sum of the union, as each cross or self sum
     # is one; only the repeats change
     repeats.clear()
-    repeats.update(_repeats(counts))
+    repeats.update(_repeats(union))
     return DecompositionReport(kind=kind, checks=tuple(checks))
 
 

@@ -338,6 +338,28 @@ class TestVerify:
                   if not c["passed"]]
         assert failed == [("condition_3_density", x)]
 
+    @pytest.mark.parametrize("command", ["verify", "stats"])
+    def test_a_pair_sum_past_the_digit_limit_is_refused(self, tmp_path, digit_limit, command):
+        # each element has 4300 digits, but (B+1) + (B+3) has 4301, which
+        # verify once tried to print as a witness; stats shares the shape rules
+        elements = [9 * 10**(digit_limit - 1) + d for d in (1, 2, 3, 4)]
+        stage = {"index": 1, "kind": "BASE", "set": elements, "added": elements, "x": 1}
+        trace = tmp_path / "big_sum.trace.json"
+        trace.write_text(json.dumps({"f": {"window": 0, "values": {"0": 1}, "default": 1}, "phi": "log2",
+                                     "u_prefix": [0], "stages": [stage]}))
+        result = run_cli(command, "--trace", str(trace), env_extra={"PYTHONINTMAXSTRDIGITS": str(digit_limit)})
+        assert (result.returncode, result.stdout) == (1, "")
+        assert result.stderr == "MALFORMED_TRACE: stage 1 pair sum has up to 4301 digits, past the limit of 4300\n"
+
+    def test_a_long_unexpected_key_is_named_in_brief(self, ones_trace_file, capsys):
+        data = json.loads(ones_trace_file.read_text())
+        data["stages"][0]["k" * 10**6] = 1
+        ones_trace_file.write_text(json.dumps(data))
+        assert cli.main(["verify", "--trace", str(ones_trace_file)]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "MALFORMED_TRACE: stage 1 keys: unexpected ['" + "k" * 78 + "...\n"
+
     @pytest.mark.parametrize("phi", ["clog:1e-400", "pow:1e-400"])
     def test_phi_parameter_outside_the_float_range(self, ones_trace_file, phi):
         data = json.loads(ones_trace_file.read_text())

@@ -437,6 +437,10 @@ class TestTraceParsingRejections:
         trace_dict["stages"][1]["m_covered"] = 2  # derived, never serialized
         assert _expect_malformed(trace_dict) == "stage 2 keys: unexpected ['m_covered']"
 
+    def test_a_long_unexpected_key_is_named_in_brief(self, trace_dict):
+        trace_dict["k" * 10**6] = 1
+        assert _expect_malformed(trace_dict) == "trace keys: unexpected ['" + "k" * 78 + "..."
+
     def test_stage_missing_key(self, trace_dict):
         del trace_dict["stages"][1]["added"]
         assert _expect_malformed(trace_dict) == "stage 2 keys: missing ['added']"

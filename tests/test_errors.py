@@ -9,6 +9,7 @@ import re
 import pytest
 
 from repbasis import (
+    ConstructionTrace,
     FiniteBasis,
     MalformedTraceError,
     PhiSpec,
@@ -16,8 +17,10 @@ from repbasis import (
     RepTarget,
     SidonLadder,
     SidonSet,
+    StageRecord,
     TargetSequence,
     build,
+    check_decomposition,
     check_equality_coverage,
     check_invariants,
     d0_of,
@@ -25,12 +28,13 @@ from repbasis import (
     density_exceeds,
     rep_function,
     target_prefix,
+    trace_loads,
     trace_to_dict,
     upper_bound_check,
     verify_trace,
 )
 from repbasis.errors import _int_text, echo, require_int
-from repbasis.trace import canonical_json
+from repbasis.trace import canonical_json, trace_dumps
 
 A = FiniteBasis((1, 2))
 # f = 1 on the window |n| <= 2 but f(1) = 3, and 2 outside it
@@ -171,6 +175,32 @@ def test_an_integer_past_the_digit_limit_is_named_by_its_digit_count(digit_limit
     assert str(refused.value) == message.format("-<integer of up to 5001 digits>")
 
 
+# entry -> (call with a container holding the refused integer, error class,
+# message); each once raised the interpreter's ValueError from repr
+HOLDING_AN_INTEGER_PAST_THE_DIGIT_LIMIT = {
+    "upper_bound_check x": (lambda v: upper_bound_check(FiniteBasis(()), [v], 1), PreconditionViolatedError,
+                            "x must be an integer >= 0, got <list holding an integer too long to print>"),
+    "upper_bound_check r": (lambda v: upper_bound_check(FiniteBasis(()), 1, [v]), PreconditionViolatedError,
+                            "r must be an integer >= 0, got <list holding an integer too long to print>"),
+    "rep_function n": (lambda v: rep_function(FiniteBasis((1,)), (v,)), PreconditionViolatedError,
+                       "n must be an integer, got <tuple holding an integer too long to print>"),
+    "FiniteBasis element": (lambda v: FiniteBasis(([v],)), ValueError,
+                            "element must be an integer, got <list holding an integer too long to print>"),
+    "RepTarget value": (lambda v: RepTarget(0, {0: [v]}, 1), ValueError,
+                        "value at n=0 must be an integer >= 0, got <list holding an integer too long to print>"),
+    "PhiSpec parameter": (lambda v: PhiSpec("pow", [v]), ValueError,
+                          "bad phi parameter <list holding an integer too long to print>"),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(HOLDING_AN_INTEGER_PAST_THE_DIGIT_LIMIT))
+def test_a_value_holding_an_integer_past_the_digit_limit_is_named_by_its_type(digit_limit, entry):
+    call, error, message = HOLDING_AN_INTEGER_PAST_THE_DIGIT_LIMIT[entry]
+    with pytest.raises(error) as refused:
+        call(10**5000)
+    assert type(refused.value) is error and str(refused.value) == message
+
+
 class TestEcho:
     def test_an_integer_is_named_in_full_up_to_the_digit_limit(self, digit_limit):
         longest = 10**digit_limit - 1
@@ -180,6 +210,10 @@ class TestEcho:
         assert (_int_text(longest + 1), _int_text(-longest - 1)) == (
             "<integer of up to 4301 digits>", "-<integer of up to 4301 digits>")
         assert echo(longest + 1) == "<integer of up to 4301 digits>"
+
+    @pytest.mark.parametrize("value, name", [([10**5000], "list"), ({"k": (1, -10**5000)}, "dict")])
+    def test_a_value_holding_an_integer_past_the_limit_is_named_by_its_type(self, digit_limit, value, name):
+        assert echo(value) == f"<{name} holding an integer too long to print>"
 
     @pytest.mark.parametrize("value", [0, -3, 10**100, True, 0.5, -2.5e300, "7", [1, 2]])
     def test_a_value_within_the_limit_is_named_by_its_repr(self, digit_limit, value):
@@ -212,6 +246,55 @@ def test_a_checkpoint_at_the_digit_limit_gets_a_verdict(digit_limit):
         ("condition_3_density", 3, x)]
     assert report.upper_bounds[-1].detail == "stages 1-3: k=6, k(k+1)/2=21, bound r(4x+1)=<integer of up to 4301 digits>"
     assert canonical_json(report.to_dict())
+
+
+def _one_stage_trace(elements: tuple[int, ...]) -> ConstructionTrace:
+    """The trace of one base stage at x = 1 for f = 1, whose set and added
+    elements are both `elements`."""
+    stage = StageRecord(1, FiniteBasis(elements), FiniteBasis(elements), 1)
+    return ConstructionTrace(RepTarget.constant(1), PhiSpec.parse("log2"), (0,), (stage,))
+
+
+class TestPairSumPastTheDigitLimit:
+    # (B+1) + (B+3) = (B+2) + (B+2) has 4301 digits, which verify once tried
+    # to print as the pair-bound witness
+    BIG = tuple(9 * 10**4299 + d for d in (1, 2, 3, 4))
+    MESSAGE = "pair sum has up to 4301 digits, past the limit of 4300"
+
+    def test_an_in_memory_trace_is_refused(self, digit_limit):
+        with pytest.raises(MalformedTraceError, match=f"^stage 1 {self.MESSAGE}$"):
+            _one_stage_trace(self.BIG)
+
+    def test_a_loaded_trace_is_refused(self, digit_limit):
+        # every element has 4300 digits, so the file itself parses
+        stage = {"index": 1, "kind": "BASE", "set": list(self.BIG), "added": list(self.BIG), "x": 1}
+        text = canonical_json({"f": RepTarget.constant(1).to_dict(), "phi": "log2", "u_prefix": [0],
+                               "stages": [stage]})
+        with pytest.raises(MalformedTraceError, match=f"^stage 1 {self.MESSAGE}$"):
+            trace_loads(text)
+
+    def test_a_negative_element_bounds_the_sums_as_well(self, digit_limit):
+        with pytest.raises(MalformedTraceError, match=f"^stage 1 {self.MESSAGE}$"):
+            _one_stage_trace((-self.BIG[0], 1))
+
+    def test_a_pair_sum_at_the_limit_gets_a_verdict(self, digit_limit):
+        # 2(B+4) has 4300 digits, so every sum and witness is printable
+        big = tuple(4 * 10**4299 + d for d in (1, 2, 3, 4))
+        trace = _one_stage_trace(big)
+        assert trace_loads(trace_dumps(trace)) == trace
+        report = verify_trace(trace)
+        pair_bound = [c for c in report.invariants.failures() if c.condition == "condition_1_pair_bound"]
+        assert [c.witness for c in pair_bound] == [big[0] + big[2]]
+        assert canonical_json(report.to_dict())
+
+    @pytest.mark.parametrize("old, added", [(BIG[:2], BIG[2:]), ((1, 2), BIG[2:]), (BIG[:2], [-BIG[3], 5])])
+    def test_a_decomposition_is_refused(self, digit_limit, old, added):
+        with pytest.raises(PreconditionViolatedError, match=f"^{self.MESSAGE}$"):
+            check_decomposition(FiniteBasis(old), added, "TARGET_EXTENSION")
+
+    def test_a_decomposition_checks_its_arguments_first(self, digit_limit):
+        with pytest.raises(PreconditionViolatedError, match="^an extension adjoins exactly two elements, got 1$"):
+            check_decomposition(FiniteBasis(self.BIG), [1], "TARGET_EXTENSION")
 
 
 class TestRequireInt:

@@ -4,16 +4,18 @@ names a witness, a checkpoint of about 10^700 is refused when negative and
 fails the density bar when positive, the union's pair-sum counts that a
 decomposition derives equal a recount, decompositions drawn wide match the
 whole-report reference record for record, random walks of the Sidon ladder
-agree with its per-candidate reference, targets and traces survive their
-round trips, and the command line ends with status 0, 1 or 2 on any
-argument list.  Examples are derandomized, so every run tests the same
-inputs."""
+agree with its per-candidate reference, is_sidon agrees with a count of
+every pair sum, targets and traces survive their round trips, and the
+command line ends with status 0, 1 or 2 on any argument list.  Examples
+are derandomized, so every run tests the same inputs."""
 
 import copy
 import dataclasses
 import io
 import json
+from collections import Counter
 from contextlib import redirect_stderr, redirect_stdout
+from itertools import combinations_with_replacement
 
 import pytest
 
@@ -40,6 +42,7 @@ from repbasis import (  # noqa: E402
     build,
     check_decomposition,
     cli,
+    is_sidon,
     sum_counter,
     trace_dumps,
     trace_from_dict,
@@ -259,6 +262,15 @@ def test_ladder_walk_matches_the_reference(walk):
         got = _outcome(getattr(ladder, name), bound)
         assert got == _outcome(getattr(reference, name), bound), (name, bound)
         assert same_state(ladder, reference), (name, bound)
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(st.lists(st.integers(-30, 30) | INTS, max_size=10))
+def test_is_sidon_matches_a_count_of_every_pair_sum(items):
+    # duplicates, negatives and 0 included: the distinct values are a Sidon
+    # set exactly when no sum a + b (a <= b) of them is met twice
+    counts = Counter(a + b for a, b in combinations_with_replacement(set(items), 2))
+    assert is_sidon(items) == all(c == 1 for c in counts.values())
 
 
 @st.composite

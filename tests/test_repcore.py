@@ -283,6 +283,17 @@ class TestRepTarget:
         with pytest.raises(ValueError, match=r"^target keys: unexpected \['defualt'\]$"):
             RepTarget.from_dict({"window": 0, "values": {"0": 1}, "default": 1, "defualt": 2})
 
+    def test_a_long_key_list_is_named_in_brief(self):
+        # the list of unexpected keys was once written in full, here a million characters
+        data = {"window": 0, "values": {"0": 1}, "default": 1, "k" * 10**6: 1}
+        with pytest.raises(ValueError) as refused:
+            RepTarget.from_dict(data)
+        assert str(refused.value) == "target keys: unexpected ['" + "k" * 78 + "..."
+        del data["window"]
+        with pytest.raises(ValueError) as refused:
+            RepTarget.from_dict(data)
+        assert str(refused.value) == "target keys: missing ['window']; unexpected ['" + "k" * 78 + "..."
+
     def test_from_dict_rejects_aliased_keys(self):
         # "0" and "00" both parse to n = 0; neither value may silently win
         with pytest.raises(ValueError, match="n=0"):
