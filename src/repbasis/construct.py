@@ -29,7 +29,7 @@ from .repcore import (
     target_prefix,
 )
 from .sidon import SidonLadder, SidonSet
-from .trace import ConstructionTrace, StageRecord
+from .trace import ConstructionTrace, StageRecord, _refuse_past_pair_limit
 # bench/tracing.py wraps these two by their old home, construct; the line goes
 # once the tracer looks them up in trace
 from .trace import trace_dumps, trace_loads  # noqa: F401
@@ -242,7 +242,9 @@ def build(
     moves without the public functions' input checks and count no pair
     sums; verify_trace re-checks every claim.
 
-    phi may be given as a spec string such as "log2" or "pow:1/4".
+    phi may be given as a spec string such as "log2" or "pow:1/4".  A
+    trace whose last stage, the largest, the verifier would refuse as past
+    its pair limit is refused with InputTooLargeError.
     """
     require_int(L, "stage count L", 1)
     # refuses an f that is no RepTarget; drawn round by round, so an early abort draws few
@@ -256,4 +258,5 @@ def build(
         stages.append(StageRecord(2 * l, extended, pair))
         D, x = _dilated_sidon(extended, f, phi, previous.x, search_cap)
         stages.append(StageRecord(2 * l + 1, extended.union(D), D, x))
+    _refuse_past_pair_limit(len(stages[-1].set), f"stage {stages[-1].index}")
     return ConstructionTrace(f=f, phi=phi, u_prefix=tuple(targets.prefix(L + 1)), stages=tuple(stages))

@@ -23,12 +23,25 @@ import sys
 from dataclasses import dataclass
 from json.encoder import c_make_encoder, encode_basestring_ascii
 
-from .errors import MalformedTraceError, _refuse_past_limit, echo, require_int, require_type
+from .errors import InputTooLargeError, MalformedTraceError, _refuse_past_limit, echo, require_int, require_type
 from .repcore import FiniteBasis, PhiSpec, RepTarget, _check_keys, _json_loads, _require_ints
 
 KIND_BASE = "BASE"
 KIND_EXTENSION = "TARGET_EXTENSION"
 KIND_DENSIFICATION = "DENSIFICATION"
+
+# the most pairs a + b (a <= b) the verifier tallies for one stage; at about
+# 65 bytes per distinct sum that is some 2 GB
+PAIR_LIMIT = 2**25
+
+
+def _refuse_past_pair_limit(k: int, what: str) -> None:
+    """Refuse to tally the k(k+1)/2 pair sums of k elements past PAIR_LIMIT,
+    deciding from k alone, before any sum is formed."""
+    if (pairs := k * (k + 1) // 2) > PAIR_LIMIT:
+        raise InputTooLargeError(
+            f"{what} tallies the pairs of k={k} elements: {pairs}, past the verifier's limit of {PAIR_LIMIT}"
+        )
 
 
 def expected_m_covered(index: int) -> int:
@@ -164,6 +177,16 @@ def _canonical_parts(obj, newline_indent: str, parts: list) -> None:
     if _SCALAR_TYPES.issuperset(map(type, obj.values() if is_dict else obj)):
         text = "".join(_flat_encoder(inner)(obj, 0))
         parts += (text[0], inner, text[1:-1], newline_indent, text[-1])
+        return
+    if not is_dict and all(type(item) is dict and item and _SCALAR_TYPES.issuperset(map(type, item.values()))
+                           for item in obj):
+        # a list of flat records in one call: within a record a separator is
+        # followed by a key's quote, and a raw newline never occurs inside an
+        # encoded string, so this text occurs only between two records
+        key_indent = inner + "  "
+        text = "".join(_flat_encoder(key_indent)(obj, 0))[2:-2]
+        between = text.replace("}," + key_indent + "{", inner + "}," + inner + "{" + key_indent)
+        parts += ("[", inner, "{", key_indent, between, inner, "}", newline_indent, "]")
         return
     parts.append("{" if is_dict else "[")
     for i, item in enumerate(sorted(obj.items()) if is_dict else obj):

@@ -33,6 +33,7 @@ from .trace import (
     KIND_EXTENSION,
     ConstructionTrace,
     StageRecord,
+    _refuse_past_pair_limit,
 )
 
 # condition names, numbered as the stage invariants they certify
@@ -214,24 +215,28 @@ def _spiral(f: RepTarget, m: int) -> tuple[int, ...]:
 
 def _nesting_check(s: StageRecord, prev: FiniteBasis | None) -> CheckResult:
     """Stage 1 (no prev) must list itself as added; a later stage must be prev
-    plus added elements prev lacks, so a pass implies prev | added == set."""
-    index, current, added = s.index, set(s.set), set(s.added)
+    plus added elements prev lacks, so a pass implies prev | added == set.
+
+    Stage sets are strictly increasing, so one C-level comparison of the
+    elements settles a pass; only a failure builds the sets that name its
+    smallest witness."""
+    index = s.index
     if prev is None:
-        if current != added:
-            w = min(current ^ added)
-            return _fail(COND_NESTING, index, w, "base stage must list itself as added")
-        return _ok(COND_NESTING, index, "base stage added equals its set")
-    before = set(prev)
+        if s.set.elements == s.added.elements:
+            return _ok(COND_NESTING, index, "base stage added equals its set")
+        w = min(set(s.set) ^ set(s.added))
+        return _fail(COND_NESTING, index, w, "base stage must list itself as added")
+    if sorted(prev.elements + s.added.elements) == list(s.set.elements):
+        return _ok(COND_NESTING, index, "stage extends the previous set by exactly its added elements")
+    before, added = set(prev), set(s.added)
     overlap = before & added
     if overlap:
         w = min(overlap)
         return _fail(COND_NESTING, index, w, f"added element {w} already present before stage {index}")
-    union = before | added
-    if union != current:
-        w = min(union ^ current)
-        detail = f"stage {index} set is not the previous set plus its added elements (mismatch at {w})"
-        return _fail(COND_NESTING, index, w, detail)
-    return _ok(COND_NESTING, index, "stage extends the previous set by exactly its added elements")
+    # prev and added are disjoint, so their union differs from the set
+    w = min((before | added) ^ set(s.set))
+    detail = f"stage {index} set is not the previous set plus its added elements (mismatch at {w})"
+    return _fail(COND_NESTING, index, w, detail)
 
 
 def check_decomposition(A: FiniteBasis, added, kind: str) -> DecompositionReport:
@@ -257,6 +262,7 @@ def check_decomposition(A: FiniteBasis, added, kind: str) -> DecompositionReport
     # a witness or detail writes a pair sum in full, so it must be printable,
     # as a trace's shape rules also demand; a + a with |a| largest is the largest
     _refuse_past_limit(2 * max(A.max_abs(), -added_tuple[0], added_tuple[-1]), "pair sum", PreconditionViolatedError)
+    _refuse_past_pair_limit(len(A) + len(added_tuple), "decomposition")
     return _decompose(A, *_recount(A), added_tuple, kind)
 
 
@@ -270,8 +276,9 @@ def _decompose(A: FiniteBasis, sums: set, repeats: Counter, added: tuple[int, ..
 
     The cross and self sums are added to `sums` once, and the number of
     sums that gains decides all five uniqueness and disjointness checks.
-    When one fails, A and the union are counted afresh and the checks run
-    one by one, so that each names its smallest witness."""
+    When one fails, A is counted afresh, the union's counts are A's plus the
+    cross and self sums over F, and the checks run one by one, so that each
+    names its smallest witness."""
     els = A.elements
     u = added[0] + added[1] if kind == KIND_EXTENSION else None
     cross = [t + a for t in added for a in els]
@@ -290,8 +297,8 @@ def _decompose(A: FiniteBasis, sums: set, repeats: Counter, added: tuple[int, ..
             repeats[u] = (repeats.get(u) or 1) + 1
         u_exempt = _disjoint_check("old_self_disjoint", set(), set(), exempt=u)
         return DecompositionReport(kind=kind, checks=(*_PASSED, u_exempt, _PIECEWISE_OK))
-    # a check fails: count A and the union afresh, as `sums` no longer tells
-    # the old sums from the new
+    # a check fails: count A afresh, as `sums` no longer tells the old sums
+    # from the new
     counts = sum_counter(A)
     checks = _part_checks(counts.keys(), cross, self_part, u)
     # the piecewise formula on every cross and self sum: 1 on a new sum, the old
@@ -300,7 +307,11 @@ def _decompose(A: FiniteBasis, sums: set, repeats: Counter, added: tuple[int, ..
     expected = dict.fromkeys(chain(cross, self_part), 1)
     for n in expected.keys() & counts.keys():
         expected[n] = counts[n] + (n == u)
-    union = sum_counter(A.union(added))
+    # `added` may repeat a value or hold one of A's, so F is deduplicated
+    F = sorted(set(added).difference(els))
+    union = counts.copy()
+    union.update([t + a for t in F for a in els])
+    union.update([t + s for i, t in enumerate(F) for s in F[i:]])
     # one C-level comparison settles a full match, as every cross and self sum
     # is a key of the union's counts; otherwise the per-sum scan names the
     # smallest witness
@@ -516,8 +527,14 @@ def _walk(trace: ConstructionTrace) -> tuple[InvariantReport, tuple, tuple]:
     afresh only when a decomposition check fails.  A stage that is
     recounted also opens a nested run, and _run_bound writes each run's
     records once the walk is done.
+
+    Before the first tally, a stage whose pairs pass PAIR_LIMIT is refused
+    with InputTooLargeError: the pairs of its set, or of the previous set
+    plus its added elements, which its decomposition tallies.
     """
     require_type(trace, ConstructionTrace, "trace")
+    for s, prev in zip(trace.stages, (None, *trace.stages)):
+        _refuse_past_pair_limit(max(len(s.set), len(prev.set) + len(s.added) if prev else 0), f"stage {s.index}")
     bounds = [(x, r) for _, x, _ in trace.checkpoints() if (r := trace.f.max_finite(2 * x)) is not None]
     zeros = trace.f.zero_points()
     invariants: list[CheckResult] = []

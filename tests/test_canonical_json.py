@@ -90,6 +90,56 @@ def test_equals_the_reference(doc):
     assert both_paths(doc) == [reference(doc)] * len(PATHS)
 
 
+# strings that hold a record separator's characters, or its whole text at
+# the depth of a report's check records
+SEPARATOR_STRINGS = st.sampled_from(("}", ",", "{", "},", '"\x00', "},\n      {", '},\n      {"', "\n    },\n    {"))
+# the scalars whose exact types the writer hands to the encoder as they are
+PLAIN_SCALARS = st.one_of(st.none(), st.booleans(), st.integers(), HUGE_INTS, st.floats(),
+                          st.text(max_size=8), ODD_STRINGS, SEPARATOR_STRINGS)
+FLAT_RECORDS = st.dictionaries(KEYS | SEPARATOR_STRINGS, PLAIN_SCALARS, min_size=1, max_size=5)
+
+
+@st.composite
+def record_lists(draw):
+    """A list of flat records, and in some of them one odd item that the
+    writer must not take for a flat record: an empty dict, or a record
+    holding an Int or Str value."""
+    records = draw(st.lists(FLAT_RECORDS, min_size=1, max_size=6))
+    odd = draw(st.none() | st.sampled_from(({}, {"n": Int(1)}, {"s": Str("},")})))
+    if odd is not None:
+        records.insert(draw(st.integers(0, len(records))), odd)
+    return records
+
+
+@settings(derandomize=True, database=None, max_examples=400, deadline=None)
+@given(record_lists(), st.integers(0, 2), st.booleans())
+@example([{"a": 1}], 0, False)
+@example([{"a": 1}, {}, {"b": 2}], 1, True)
+@example([{"},\n      {": "},\n      {", "k": Int(3)}, {Str("s"): Str("}"), "z": None}], 2, False)
+def test_lists_of_flat_records_equal_the_reference(records, depth, as_tuple):
+    # a list of non-empty records of scalars is one encoder call; a list
+    # holding any other item takes the per-record path
+    doc = tuple(records) if as_tuple else records
+    for _ in range(depth):
+        doc = {"checks": doc, "passed": True}
+    assert both_paths(doc) == [reference(doc)] * len(PATHS)
+
+
+@pytest.mark.skipif(False not in PATHS, reason="the per-level writer needs the C encoder")
+def test_a_list_of_flat_records_is_one_encoder_call(monkeypatch):
+    calls, encoder = [], trace_module._flat_encoder
+
+    def counted(newline_indent):
+        calls.append(newline_indent)
+        return encoder(newline_indent)
+
+    monkeypatch.setattr(trace_module, "_INDENT_IN_C", False)
+    monkeypatch.setattr(trace_module, "_flat_encoder", counted)
+    doc = {"checks": [{"condition": "nesting", "passed": True, "stage": n} for n in range(5)]}
+    assert canonical_json(doc) == reference(doc)
+    assert calls == ["\n      "]
+
+
 def test_booleans_print_as_json_literals():
     text = canonical_json([1, True, 0, False])
     assert text == "[\n  1,\n  true,\n  0,\n  false\n]\n"

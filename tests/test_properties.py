@@ -246,6 +246,50 @@ def test_repeated_added_element_is_tallied_once():
     assert piecewise.detail == "rep count at n=6 is 3, piecewise formula gives 2"
 
 
+def _reference_nesting(s: StageRecord, prev: FiniteBasis | None) -> verify.CheckResult:
+    """The nesting check by set algebra on every stage, as it was first written."""
+    index, current, added = s.index, set(s.set), set(s.added)
+    if prev is None:
+        if current != added:
+            w = min(current ^ added)
+            return verify._fail(verify.COND_NESTING, index, w, "base stage must list itself as added")
+        return verify._ok(verify.COND_NESTING, index, "base stage added equals its set")
+    before = set(prev)
+    overlap = before & added
+    if overlap:
+        w = min(overlap)
+        return verify._fail(verify.COND_NESTING, index, w, f"added element {w} already present before stage {index}")
+    union = before | added
+    if union != current:
+        w = min(union ^ current)
+        detail = f"stage {index} set is not the previous set plus its added elements (mismatch at {w})"
+        return verify._fail(verify.COND_NESTING, index, w, detail)
+    return verify._ok(verify.COND_NESTING, index, "stage extends the previous set by exactly its added elements")
+
+
+@st.composite
+def nesting_cases(draw):
+    """A stage and its predecessor's set (None for the base stage), the
+    stage's set being the exact union or one with elements toggled, and
+    its added list empty or overlapping the predecessor's set."""
+    pool = st.integers(-8, 8)
+    prev = draw(st.none() | st.lists(pool, max_size=6).map(FiniteBasis.from_iterable))
+    old = list(prev or ())
+    added = set(draw(st.lists(pool | st.sampled_from(old) if old else pool, max_size=4)))
+    current = set(old) | added
+    for n in draw(st.lists(pool | st.sampled_from(sorted(current)) if current else pool, max_size=2)):
+        current ^= {n}
+    index = 1 if prev is None else draw(st.integers(2, 9))
+    return StageRecord(index, FiniteBasis.from_iterable(current), FiniteBasis.from_iterable(added)), prev
+
+
+@settings(derandomize=True, database=None, max_examples=400, deadline=None)
+@given(nesting_cases())
+def test_nesting_check_matches_the_set_reference(case):
+    # the verdict, the witness and the detail, on passing and failing stages
+    assert verify._nesting_check(*case) == _reference_nesting(*case)
+
+
 def _outcome(call, *args):
     try:
         return call(*args)

@@ -7,6 +7,7 @@ from itertools import combinations_with_replacement, product
 
 import pytest
 
+import repbasis.trace
 import repbasis.verify
 from repbasis import (
     INFINITY,
@@ -15,6 +16,7 @@ from repbasis import (
     KIND_DENSIFICATION,
     KIND_EXTENSION,
     FiniteBasis,
+    InputTooLargeError,
     MalformedTraceError,
     PhiSpec,
     PreconditionViolatedError,
@@ -25,9 +27,11 @@ from repbasis import (
     check_decomposition,
     check_equality_coverage,
     check_invariants,
+    cli,
     counting,
     greedy_sidon,
     sum_counter,
+    trace_dumps,
     trace_from_dict,
     trace_to_dict,
     upper_bound_check,
@@ -613,3 +617,83 @@ class TestOnePass:
                 assert calls == [s.set for s in stages]
             elif mutation in ("none", "inflate_x", "f_zero"):
                 assert calls == [stages[0].set]
+
+
+def _triangle(k: int) -> int:
+    return k * (k + 1) // 2
+
+
+class TestPairLimit:
+    """The verifier refuses to tally a stage past trace.PAIR_LIMIT, from its
+    size alone; the limit is patched small, so nothing large is allocated."""
+
+    def test_a_stage_one_pair_past_the_limit_is_refused_before_any_tally(self, ones_trace, monkeypatch):
+        k = len(ones_trace.stages[-1].set)
+        calls = []
+        monkeypatch.setattr(repbasis.verify, "sum_counter", lambda A: calls.append(A))
+        monkeypatch.setattr(repbasis.verify, "_recount", lambda A: calls.append(A))
+        monkeypatch.setattr(repbasis.trace, "PAIR_LIMIT", _triangle(k) - 1)
+        for oracle in (verify_trace, check_invariants):
+            with pytest.raises(InputTooLargeError) as info:
+                oracle(ones_trace)
+            assert str(info.value) == (f"stage 3 tallies the pairs of k={k} elements: {_triangle(k)}, "
+                                       f"past the verifier's limit of {_triangle(k) - 1}")
+        assert calls == []
+
+    def test_a_stage_at_the_limit_verifies(self, ones_trace, monkeypatch):
+        report = verify_trace(ones_trace)
+        monkeypatch.setattr(repbasis.trace, "PAIR_LIMIT", _triangle(len(ones_trace.stages[-1].set)))
+        assert verify_trace(ones_trace) == report and report.passed
+
+    def test_the_previous_set_plus_the_added_elements_count(self, monkeypatch):
+        # stage 3 lists {1, 2} but adds 10 and 20 to the four elements of
+        # stage 2: its decomposition tallies the pairs of six elements
+        small, four = FiniteBasis((1, 2)), FiniteBasis((1, 2, 3, 4))
+        trace = ConstructionTrace(F_ONES, LOG2, (0, 1), (
+            StageRecord(1, small, small, 1), StageRecord(2, four, FiniteBasis((3, 4))),
+            StageRecord(3, small, FiniteBasis((10, 20)), 2)))
+        monkeypatch.setattr(repbasis.trace, "PAIR_LIMIT", _triangle(6) - 1)
+        with pytest.raises(InputTooLargeError, match=r"^stage 3 tallies the pairs of k=6 elements: 21,"):
+            verify_trace(trace)
+        monkeypatch.setattr(repbasis.trace, "PAIR_LIMIT", _triangle(6))
+        assert not verify_trace(trace).passed
+
+    def test_check_decomposition_counts_A_and_the_added_elements(self, monkeypatch):
+        A, added = FiniteBasis((1, 4, 9, 16)), (30, 60)
+        report = check_decomposition(A, added, KIND_EXTENSION)
+        monkeypatch.setattr(repbasis.trace, "PAIR_LIMIT", _triangle(6) - 1)
+        with pytest.raises(InputTooLargeError, match=r"^decomposition tallies the pairs of k=6 elements: 21,"):
+            check_decomposition(A, added, KIND_EXTENSION)
+        monkeypatch.setattr(repbasis.trace, "PAIR_LIMIT", _triangle(6))
+        assert check_decomposition(A, added, KIND_EXTENSION) == report
+
+    def test_build_refuses_a_trace_past_the_limit(self, ones_trace, monkeypatch):
+        k = len(ones_trace.stages[-1].set)
+        monkeypatch.setattr(repbasis.trace, "PAIR_LIMIT", _triangle(k) - 1)
+        with pytest.raises(InputTooLargeError, match=rf"^stage 3 tallies the pairs of k={k} elements"):
+            build(F_ONES, LOG2, 1)
+        monkeypatch.setattr(repbasis.trace, "PAIR_LIMIT", _triangle(k))
+        assert build(F_ONES, LOG2, 1) == ones_trace
+
+    def test_the_cli_refuses_with_one_typed_line_and_stats_still_runs(self, ones_trace, tmp_path, monkeypatch,
+                                                                      capsys):
+        path = tmp_path / "trace.json"
+        path.write_text(trace_dumps(ones_trace))
+        k = len(ones_trace.stages[-1].set)
+        monkeypatch.setattr(repbasis.trace, "PAIR_LIMIT", _triangle(k) - 1)
+        assert cli.main(["verify", "--trace", str(path), "--report", str(tmp_path / "report.json")]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and not (tmp_path / "report.json").exists()
+        assert err.startswith("INPUT_TOO_LARGE: stage 3 tallies the pairs") and err.count("\n") == 1
+        assert cli.main(["stats", "--trace", str(path)]) == 0
+        assert capsys.readouterr().out.count("\n") == 3
+
+
+def test_a_failed_decomposition_counts_the_pairs_of_A_once():
+    # the union's counts are derived from A's, so only A is counted
+    calls, counter = [], repbasis.verify.sum_counter
+    A = FiniteBasis((1, 3, 7))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(repbasis.verify, "sum_counter", lambda B: calls.append(B) or counter(B))
+        report = check_decomposition(A, (5, 40), KIND_EXTENSION)
+    assert calls == [A] and not report.passed
