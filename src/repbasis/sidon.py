@@ -2,34 +2,33 @@
 
 A Sidon set has all pairwise sums a + b (a <= b) distinct.  The density
 machinery needs, for a given ambient bound n, a Sidon subset D of [1, n]
-with 4*|D|**2 > n, i.e. |D| > sqrt(n)/2.
+with 4*|D|**2 > n, i.e. |D| > sqrt(n)/2, and takes the larger of the
+first-fit (Mian-Chowla) set and the Erdos-Turan set.  The module keeps
+nothing between calls but the first-fit elements in [1, FIRST_FIT_REACH]:
+each SidonLadder holds its own state, and greedy_sidon walks first-fit
+anew past that reach.
 """
 
 from __future__ import annotations
 
 import itertools
-import threading
+from bisect import bisect_right
 from dataclasses import dataclass
+from math import inf, isqrt
 from typing import Iterable
 
 from .errors import DensityUnreachableError, InputTooLargeError, InputTooSmallError, require_int
 from .repcore import FiniteBasis, _require_ints
 
-# Largest ambient bound the constructions accept: the shared greedy walk's
-# bitsets grow with the largest element, and reaching 10**8 takes 27 s, peaks
-# at 130 MB and leaves about 38 MB held for the life of the process.
+# Largest ambient bound the constructions accept: a first-fit walk's bitsets
+# grow with its largest element, and reaching 10**8 takes 27 s and peaks at
+# 130 MB.
 SIDON_N_LIMIT = 10**8
 
-# The two fixed sequences every SidonLadder reads, grown on demand and kept
-# for the life of the process.  _walk = (elements, below, diffs, window) holds
-# the Mian-Chowla elements found so far and the first-fit bitsets after the
-# last of them (see SidonLadder); each step replaces it whole, in one
-# assignment, so a step that raises leaves the walk as it was.  _PRIMES holds
-# the primes in order.  One thread at a time grows them, under _GROWING;
-# readers need no lock, as a sequence only ever gets longer.
-_walk = ((1,), 1, 1, 1)
-_PRIMES = [2]
-_GROWING = threading.Lock()
+# The ladder reads first-fit only on [1, FIRST_FIT_REACH], which holds 81
+# elements: past n = 12034 the first-fit set never ties or beats the
+# Erdos-Turan set (checked to 10**8), so walking it further buys nothing.
+FIRST_FIT_REACH = 2**14
 
 
 @dataclass(frozen=True, eq=True)
@@ -72,37 +71,39 @@ def _is_prime(p: int) -> bool:
     return True
 
 
-def _greedy_at(i: int) -> int:
-    """The Mian-Chowla element of index i (from 0), walking to it first."""
-    while len(_walk[0]) <= i:
-        _grow_walk()
-    return _walk[0][i]
+def _first_fit(n: int) -> tuple[int, ...]:
+    """The first-fit (Mian-Chowla) elements in [1, n], for n >= 1.
 
-
-def _grow_walk() -> None:
-    """Add the next Mian-Chowla element, at the lowest clear bit of window."""
-    global _walk
-    with _GROWING:
-        elements, below, diffs, window = _walk
-        gap = (window ^ (window + 1)).bit_length() - 1
+    A candidate c above the newest element g fails first-fit exactly when
+    c = b + d for an element b and a difference d = a - e of elements
+    e < a <= b (2c exceeds every pair sum).  So three int bitsets suffice:
+    `below` has bit j when g - j is an element, `diffs` bit d for each
+    difference (bit 0 included), and `window` bit j when g + j is
+    forbidden.  Adding the element g + j at the lowest clear bit j of
+    `window` shifts `below` up and `window` down by j, ORs `below` into
+    `diffs` and `diffs` into `window`.
+    """
+    elements, below, diffs, window = [1], 1, 1, 1
+    while (gap := (window ^ (window + 1)).bit_length() - 1) + elements[-1] <= n:
         below = (below << gap) | 1
         diffs |= below
-        _walk = (elements + (elements[-1] + gap,), below, diffs, (window >> gap) | diffs)
+        window = (window >> gap) | diffs
+        elements.append(elements[-1] + gap)
+    return tuple(elements)
 
 
-def _prime_at(i: int) -> int:
-    """The prime of index i (from 0), found first by trial division."""
-    while len(_PRIMES) <= i:
-        with _GROWING:
-            _PRIMES.append(next(q for q in itertools.count(_PRIMES[-1] + 1) if _is_prime(q)))
-    return _PRIMES[i]
+_FIRST_FIT = _first_fit(FIRST_FIT_REACH)
 
 
-def _admitted_primes(n: int, known: int = 0) -> int:
-    """How many primes p have 2*p*p <= n, counting on past the first known."""
-    while 2 * _prime_at(known) ** 2 <= n:
-        known += 1
-    return known
+def _largest_prime(n: int) -> int:
+    """The largest prime p with 2*p*p <= n, counted down from isqrt(n // 2);
+    needs n >= 8."""
+    return next(p for p in itertools.count(isqrt(n // 2), -1) if _is_prime(p))
+
+
+def _next_prime(q: int) -> int:
+    """The least prime above q."""
+    return next(p for p in itertools.count(q + 1) if _is_prime(p))
 
 
 def _check_bound(n: int, least: int, construction: str) -> None:
@@ -113,25 +114,20 @@ def _check_bound(n: int, least: int, construction: str) -> None:
         raise InputTooLargeError(f"Sidon bound n={n} exceeds {SIDON_N_LIMIT}")
 
 
-def _ladder_at(n: int) -> SidonLadder:
-    """A fresh ladder advanced to n; refuses n < 1 and n past SIDON_N_LIMIT."""
-    _check_bound(n, 1, "greedy")
-    ladder = SidonLadder()
-    ladder.advance(n)
-    return ladder
-
-
 def greedy_sidon(n: int) -> SidonSet:
     """First-fit Sidon set: scan 1..n, keep every value that preserves the
     distinct-sums property.  Prefix-monotone in n."""
-    return SidonSet(tuple(_ladder_at(n).greedy_prefix()), n)
+    _check_bound(n, 1, "greedy")
+    if n <= FIRST_FIT_REACH:
+        return SidonSet(_FIRST_FIT[: bisect_right(_FIRST_FIT, n)], n)
+    return SidonSet(_first_fit(n), n)
 
 
 def erdos_turan_sidon(n: int) -> SidonSet:
     """Sidon set {2pk + (k*k mod p) + 1 : 0 <= k < p} for the largest prime
     p with 2*p*p <= n.  Needs n >= 8 so that p = 2 is admissible."""
     _check_bound(n, 8, "algebraic")
-    return SidonSet(_et_elements(_PRIMES[_admitted_primes(n) - 1]), n)
+    return SidonSet(_et_elements(_largest_prime(n)), n)
 
 
 def _et_elements(p: int) -> tuple[int, ...]:
@@ -146,7 +142,10 @@ def sidon_for_density(n: int) -> SidonSet:
     Raises DensityUnreachableError when even the better set has
     4*|D|**2 <= n, and InputTooLargeError past SIDON_N_LIMIT.
     """
-    best = _ladder_at(n).best_elements()
+    _check_bound(n, 1, "greedy")
+    ladder = SidonLadder()
+    ladder.advance(n)
+    best = ladder.best_elements()
     if not best.density_ok():
         raise DensityUnreachableError(
             f"no known Sidon set in [1, {n}] has more than sqrt(n)/2 elements"
@@ -157,37 +156,27 @@ def sidon_for_density(n: int) -> SidonSet:
 class SidonLadder:
     """A cursor over both constructions as the ambient bound n grows.
 
-    The admissible-x scans move the bound forward, and every scan reads
-    the same two fixed sequences: the Mian-Chowla (first-fit) elements and
-    the primes.  Both are grown on demand in module state shared by every
-    ladder of the process, so a ladder holds only n, the number of greedy
-    elements in [1, n] and the number of primes p with 2p^2 <= n; a later
-    ladder re-reads what an earlier one walked instead of walking it again.
-
-    The ladder never visits the bounds in between: it jumps from one event
-    (the next greedy element, the next bound 2p^2 of a prime p, the
-    caller's limit) to the next.  The walk finds the next greedy element at
-    once: a candidate c above the newest element g fails first-fit exactly
-    when c = b + d for an element b and a difference d = a - e of elements
-    e < a <= b (2c exceeds every pair sum).  So three int bitsets suffice:
-    `below` has bit j when g - j is an element, `diffs` bit d for each
-    difference (bit 0 included), and `window` bit j when g + j is
-    forbidden.  Adding the element g + j at the lowest clear bit j of
-    `window` shifts `below` up and `window` down by j, ORs `below` into
-    `diffs` and `diffs` into `window`.
+    The admissible-x scans move the bound forward.  A ladder holds n, the
+    number of first-fit elements in [1, min(n, FIRST_FIT_REACH)], the
+    largest prime p with 2p^2 <= n (0 while n < 8) and the prime after p.
+    It never visits the bounds in between: it jumps from one event (the
+    next first-fit element up to FIRST_FIT_REACH, the next bound 2q^2 of a
+    prime q, the caller's limit) to the next.
     """
 
     def __init__(self):
         self._n = 0
-        self._count = 0  # greedy elements in [1, n]
-        self._primes = 0  # primes p with 2*p*p <= n
+        self._count = 0  # first-fit elements in [1, min(n, FIRST_FIT_REACH)]
+        self._p = 0  # the largest prime p with 2*p*p <= n, 0 if none
+        self._q = 2  # the prime after _p
 
     def advance(self, n: int) -> None:
         if require_int(n, "Sidon bound n") < self._n:
             raise ValueError("ladder only moves forward")
-        while _greedy_at(self._count) <= n:
-            self._count += 1
-        self._primes = _admitted_primes(n, self._primes)
+        if 2 * self._q * self._q <= n:
+            p = _largest_prime(n)
+            self._p, self._q = p, _next_prime(p)
+        self._count = bisect_right(_FIRST_FIT, n)
         self._n = n
 
     def advance_to_growth(self, limit: int) -> int | None:
@@ -196,27 +185,29 @@ class SidonLadder:
         require_int(limit, "limit")
         best = self.best_size()
         while True:
-            g, p = _greedy_at(self._count), _prime_at(self._primes)
-            n = min(g, 2 * p * p)
+            g = _FIRST_FIT[self._count] if self._count < len(_FIRST_FIT) else inf
+            e = 2 * self._q * self._q
+            n = min(g, e)
             if n > limit:
                 break
+            if n == e:
+                self._p, self._q = self._q, _next_prime(self._q)
             self._n = n
             self._count += n == g
-            self._primes += n == 2 * p * p
             if self.best_size() > best:
                 return n
         self._n = max(self._n, limit)
         return None
 
     def greedy_prefix(self) -> list[int]:
-        return list(_walk[0][: self._count])
+        return list(_FIRST_FIT[: self._count])
 
     def best_size(self) -> int:
         """Size of the better construction at the current bound."""
-        return max(self._count, _PRIMES[self._primes - 1] if self._primes else 0)
+        return max(self._count, self._p)
 
     def best_elements(self) -> SidonSet:
         """Materialize the better construction; the greedy set wins a tie."""
-        if (size := self.best_size()) > self._count:
-            return SidonSet(_et_elements(size), self._n)
-        return SidonSet(_walk[0][: self._count], self._n)
+        if self._p > self._count:
+            return SidonSet(_et_elements(self._p), self._n)
+        return SidonSet(_FIRST_FIT[: self._count], self._n)

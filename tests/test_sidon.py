@@ -1,8 +1,5 @@
 """Greedy and algebraic Sidon constructions plus the incremental ladder."""
 
-import sys
-import threading
-
 import pytest
 
 import repbasis.sidon as sidon_mod
@@ -24,8 +21,9 @@ MIAN_CHOWLA = (1, 2, 4, 8, 13, 21, 31, 45, 66, 81, 97, 123, 148, 182, 204, 252, 
 
 
 class ReferenceLadder:
-    """The ladder as a per-candidate loop: every bound is offered to the
-    greedy set, tested against a bytearray of its pair sums."""
+    """The ladder as a per-candidate loop: every bound up to
+    sidon.FIRST_FIT_REACH is offered to the greedy set, tested against a
+    bytearray of its pair sums."""
 
     def __init__(self):
         self._greedy = []
@@ -57,6 +55,8 @@ class ReferenceLadder:
                 self._prime = q
             self._next_q = q + 1
             self._next_q_at = 2 * (q + 1) ** 2
+        if c > sidon_mod.FIRST_FIT_REACH:
+            return
         sums = self._sums
         top = len(sums)
         for e in self._greedy:
@@ -142,16 +142,37 @@ class TestGreedy:
             assert is_sidon(current)
             prev = current
 
+    @pytest.mark.parametrize("n", [16383, 16384, 16385, 10**5])
+    def test_both_sides_of_the_reach_match_a_fresh_walk(self, n):
+        assert greedy_sidon(n).elements == sidon_mod._first_fit(n)
+
+
+class TestFirstFitReach:
+    def test_the_kept_prefix_is_the_walk_to_the_reach(self):
+        reach = sidon_mod.FIRST_FIT_REACH
+        assert sidon_mod._FIRST_FIT == sidon_mod._first_fit(reach)
+        assert len(sidon_mod._FIRST_FIT) == 81
+        assert tuple(reference_at(reach).greedy_prefix()) == sidon_mod._FIRST_FIT
+
+    def test_erdos_turan_wins_past_the_last_tie(self):
+        # first-fit's count only grows at its own elements, so comparing
+        # there covers every n; 12034 is the last n where first-fit keeps up
+        walk = sidon_mod._first_fit(10**6)
+        keeps_up = [g for count, g in enumerate(walk, 1)
+                    if g < 8 or count >= sidon_mod._largest_prime(g)]
+        assert keeps_up[-1] == 12034 < sidon_mod.FIRST_FIT_REACH
+
 
 class TestInputLimit:
     CONSTRUCTIONS = (greedy_sidon, erdos_turan_sidon, sidon_for_density)
 
     @pytest.fixture()
     def advanced(self, monkeypatch):
-        """Bounds handed to SidonLadder.advance, which is stubbed out so that
-        no test here walks a ladder to 10**8."""
+        """Bounds handed to SidonLadder.advance and to the first-fit walk,
+        which are stubbed out so that no test here walks to 10**8."""
         bounds = []
         monkeypatch.setattr(SidonLadder, "advance", lambda self, n: bounds.append(n))
+        monkeypatch.setattr(sidon_mod, "_first_fit", lambda n: bounds.append(n) or (1,))
         return bounds
 
     @pytest.mark.parametrize("construct", CONSTRUCTIONS)
@@ -383,15 +404,6 @@ class TestSidonLadder:
                 assert ladder.best_elements() == ref.best_elements()
 
 
-@pytest.fixture()
-def fresh_walk(monkeypatch):
-    """Start the process-wide greedy walk and prime list from their first
-    terms, so the test decides which ladder grows them; the state the
-    process had is put back afterwards."""
-    monkeypatch.setattr(sidon_mod, "_walk", ((1,), 1, 1, 1))
-    monkeypatch.setattr(sidon_mod, "_PRIMES", [2])
-
-
 def reference_at(n):
     reference = ReferenceLadder()
     reference.advance(n)
@@ -399,8 +411,11 @@ def reference_at(n):
 
 
 class TestSharedWalk:
+    """Ladders share only the immutable first-fit prefix; no ladder's work,
+    finished or interrupted, changes what another reads."""
+
     @pytest.mark.parametrize("far_first", [True, False])
-    def test_interleaved_ladders_match_the_reference(self, fresh_walk, far_first):
+    def test_interleaved_ladders_match_the_reference(self, far_first):
         far, near, reference = SidonLadder(), SidonLadder(), ReferenceLadder()
         if far_first:
             far.advance(10**5)
@@ -416,7 +431,7 @@ class TestSharedWalk:
             reference.advance(n)
             assert same_state(near, reference), n
 
-    def test_a_returned_prefix_can_be_changed_freely(self, fresh_walk):
+    def test_a_returned_prefix_can_be_changed_freely(self):
         ladder = SidonLadder()
         ladder.advance(MIAN_CHOWLA[-1])
         prefix = ladder.greedy_prefix()
@@ -430,9 +445,9 @@ class TestSharedWalk:
         fresh.advance(5000)
         assert same_state(fresh, reference_at(5000))
 
-    @pytest.mark.parametrize("step", ["_grow_walk", "_is_prime"])
+    @pytest.mark.parametrize("step", ["_is_prime"])
     @pytest.mark.parametrize("k", [1, 7, 40])
-    def test_a_step_that_raises_leaves_later_ladders_exact(self, fresh_walk, monkeypatch, step, k):
+    def test_a_step_that_raises_leaves_later_ladders_exact(self, monkeypatch, step, k):
         original, calls = getattr(sidon_mod, step), []
 
         def interrupted(*args):
@@ -442,42 +457,23 @@ class TestSharedWalk:
             return original(*args)
 
         monkeypatch.setattr(sidon_mod, step, interrupted)
+        # k = 1 stops advance's count down to 61, k = 7 its search for 67,
+        # and k = 40 the growth walk's search for the prime after 97
         ladder = SidonLadder()
         with pytest.raises(KeyboardInterrupt):
-            ladder.advance(20000)
+            ladder.advance(8000)
+            while ladder.advance_to_growth(20000) is not None:
+                pass
+        # the step that raised left the ladder as it was before that step
+        reference = reference_at(ladder._n)
+        assert same_state(ladder, reference)
+        while (n := ladder.advance_to_growth(20000)) is not None:
+            reference.advance(n)
+            assert same_state(ladder, reference), n
         ladder.advance(20000)
-        reference = reference_at(20000)
+        reference.advance(20000)
         assert same_state(ladder, reference)
         for n in (0, 500, 20000, 30000):
             fresh = SidonLadder()
             fresh.advance(n)
             assert same_state(fresh, reference_at(n)), n
-
-    def test_threads_grow_one_walk(self, fresh_walk):
-        # fresh walks, each grown by four threads at once, with a thread
-        # switch as often as the interpreter allows
-        whole = reference_at(60000).greedy_prefix()
-        wrong = []
-
-        def work(t):
-            for n in range(1000 + t, 60000, 997):
-                ladder = SidonLadder()
-                ladder.advance(n)
-                if ladder.greedy_prefix() != [e for e in whole if e <= n]:
-                    wrong.append(n)
-
-        old = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            for _ in range(20):
-                sidon_mod._walk = ((1,), 1, 1, 1)
-                threads = [threading.Thread(target=work, args=(t,)) for t in range(4)]
-                for thread in threads:
-                    thread.start()
-                for thread in threads:
-                    thread.join(timeout=60)
-                    assert not thread.is_alive()
-        finally:
-            sys.setswitchinterval(old)
-        assert wrong == []
-        assert greedy_sidon(60000).elements == tuple(whole)
