@@ -20,9 +20,10 @@ STATS_HEADER = "x,count,demand,ratio,ceiling"
 
 
 @functools.cache
-def _build_parser() -> argparse.ArgumentParser:
-    """The parser, built on the first call and reused by every later main()
-    call in the process (not at import, which would slow every start-up)."""
+def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The parser and its sub-parsers by command name, built on the first
+    call and reused by every later main() call in the process (not at
+    import, which would slow every start-up)."""
     parser = argparse.ArgumentParser(
         prog="repbasis",
         description="Staged additive-basis construction with verified density checkpoints.",
@@ -52,7 +53,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_stats.add_argument("--trace", required=True, metavar="PATH")
     p_stats.add_argument("--out", metavar="PATH", help="write the CSV here (default: stdout)")
 
-    return parser
+    return parser, {"build": p_build, "verify": p_verify, "sidon": p_sidon, "stats": p_stats}
 
 
 def _write_text(path: str | None, text: str) -> None:
@@ -124,7 +125,15 @@ def _cmd_stats(args) -> int:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    parser, commands = _build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    # a line that starts with a command goes straight to its sub-parser, whose
+    # errors and help are the same either way; the full parser writes the rest
+    # (top-level usage and help, unknown commands, unrecognized arguments)
+    command = commands.get(argv[0]) if argv else None
+    args, extra = command.parse_known_args(argv[1:]) if command else (None, True)
+    if extra:
+        args = parser.parse_args(argv)
     try:
         return args.run(args)
     except RepbasisError as exc:

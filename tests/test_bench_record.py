@@ -1,8 +1,11 @@
-"""tools/bench_record.py --compare on two small records."""
+"""tools/bench_record.py: --compare on two small records, the line counts and
+the --workload plan."""
 
 import importlib.util
 import json
 from pathlib import Path
+
+import pytest
 
 TOOL = Path(__file__).resolve().parent.parent / "tools" / "bench_record.py"
 spec = importlib.util.spec_from_file_location("bench_record", TOOL)
@@ -59,3 +62,19 @@ def test_verifier_code_lines_follow_the_imports_of_verify(tmp_path):
     # verify 3, trace 4, errors 1; neither __init__ nor builder is reached
     assert bench_record.verifier_code_lines(tmp_path) == 8
     assert bench_record.src_code_lines(tmp_path) == 8 + 2 + 2
+
+
+@pytest.mark.parametrize("item", ["matrix", "matrix=", "matrix=x", "matrix=2.5", "matrix=1",
+                                  "matrix=0", "matrix=-3", "bogus=3", "=3"])
+def test_a_malformed_workload_is_refused_before_any_export(tmp_path, monkeypatch, capsys, item):
+    def export(rev, into):
+        raise AssertionError("exported before the plan was checked")
+
+    monkeypatch.setattr(bench_record, "export", export)
+    out = tmp_path / "record.json"
+    with pytest.raises(SystemExit) as exc:
+        bench_record.main(["--parent", "HEAD", "--change", "HEAD", "--out", str(out),
+                           "--workload", "long_scan=3", "--workload", item])
+    assert exc.value.code == 2
+    assert f"--workload {item}: " in capsys.readouterr().err
+    assert not out.exists()

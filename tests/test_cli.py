@@ -9,8 +9,8 @@ from pathlib import Path
 
 import pytest
 
-from repbasis import (PhiSpec, RepTarget, build, cli, density_demand, trace_dumps, trace_loads,
-                      verify_trace)
+from repbasis import (PhiSpec, RepbasisError, RepTarget, build, cli, density_demand, trace_dumps,
+                      trace_loads, verify_trace)
 from test_verify import BASE_MISMATCH
 
 ONES = {"window": 0, "values": {"0": 1}, "default": 1}
@@ -507,6 +507,87 @@ def test_no_arguments_is_usage_error():
     assert run_cli().returncode == 2
 
 
+def _reference_main(argv) -> int:
+    """main() with every line through the full parser, as before a line that
+    starts with a command went straight to that command's sub-parser."""
+    args = cli._build_parser()[0].parse_args(argv)
+    try:
+        return args.run(args)
+    except RepbasisError as exc:
+        print(f"{exc.code}: {exc}", file=sys.stderr)
+        return 1
+    except (ValueError, OSError) as exc:
+        print(f"ERROR: {exc}", file=sys.stderr)
+        return 1
+
+
+def _outcome(call, capsys):
+    """(exit code, stdout, stderr) of one in-process call."""
+    try:
+        code = call()
+    except SystemExit as exc:
+        code = exc.code
+    return (code, *capsys.readouterr())
+
+
+@pytest.fixture(scope="module")
+def line_fields(tmp_path_factory):
+    """The fields of the command lines below: a target file, its 1-round trace
+    and a scratch directory."""
+    tmp = tmp_path_factory.mktemp("lines")
+    (tmp / "ones.json").write_text(json.dumps(ONES))
+    (tmp / "trace.json").write_text(trace_dumps(build(RepTarget.from_dict(ONES), "log2", 1)))
+    return {"f": tmp / "ones.json", "trace": tmp / "trace.json", "tmp": tmp}
+
+
+VALID_LINES = ["build --f {f} --phi log2 --stages 1", "verify --trace {trace}", "sidon --n 5",
+               "stats --trace {trace}"]
+FULL_PARSER_LINES = ["", "-h", "--help", "-h sidon", "bogus", "sidon --n 5 extra"]
+DISPATCH_CORPUS = FULL_PARSER_LINES + VALID_LINES + [
+    "--version", "SIDON", "sid", "--n 5 sidon", "sidon", "sidon -h", "sidon --n 5 -h",
+    "sidon --he", "sidon --n 5 --bogus", "sidon --n 5 -- x", "sidon -- --n 5", "sidon --n=5",
+    "sidon --meth greedy --n 5", "sidon --n 5 --n 6", "sidon --method bogus --n 5", "sidon --n x",
+    # a required option left out
+    "build --f {f} --phi log2", "verify --report {tmp}/report.json", "stats --out {tmp}/stats.csv",
+    # more errors of the sub-parsers, and valid lines whose command fails
+    "build -h", "build --f {f} --phi log2 --stages x", "stats --trace", "verify --trace {trace} extra",
+    "build --f {f} --phi bogus --stages 1", "build --f {f} --phi log2 --stages 1 --search-cap 10",
+    "verify --trace {tmp}/missing.json", "sidon --method erdos-turan --n 7",
+]
+
+
+@pytest.mark.parametrize("line", DISPATCH_CORPUS, ids=lambda line: line or "no_arguments")
+def test_dispatch_answers_as_the_full_parser(line, line_fields, capsys):
+    argv = line.format(**line_fields).split()
+    assert _outcome(lambda: cli.main(argv), capsys) == _outcome(lambda: _reference_main(argv), capsys)
+
+
+@pytest.mark.parametrize("through_sys_argv", [False, True])
+def test_only_lines_a_sub_parser_cannot_settle_reach_the_full_parser(through_sys_argv, line_fields,
+                                                                      monkeypatch, capsys):
+    parser, calls = cli._build_parser()[0], []
+
+    def spy(name):
+        method = getattr(parser, name)
+
+        def call(*args, **kwargs):
+            calls.append(name)
+            return method(*args, **kwargs)
+        return call
+
+    for name in ("parse_args", "parse_known_args"):
+        monkeypatch.setattr(parser, name, spy(name))
+    for line in VALID_LINES + FULL_PARSER_LINES:
+        argv = line.format(**line_fields).split()
+        calls.clear()
+        if through_sys_argv:
+            monkeypatch.setattr(sys, "argv", ["repbasis", *argv])
+            _outcome(cli.main, capsys)
+        else:
+            _outcome(lambda: cli.main(argv), capsys)
+        assert bool(calls) == (line in FULL_PARSER_LINES), (line, calls)
+
+
 def test_in_process_calls_reuse_one_parser(tmp_path, ones_file, ones_trace_file, capsys):
     """A run of main() calls in one process, through success, a package
     error, a usage error and a failed verification, builds the parser once
@@ -521,6 +602,8 @@ def test_in_process_calls_reuse_one_parser(tmp_path, ones_file, ones_trace_file,
         ("build", "--f", str(ones_file), "--phi", "bogus", "--stages", "1"),
         ("sidon", "--n", "many"),
         ("verify", "--trace", str(mutated)),
+        ("sidon", "--n", "5", "extra"),
+        ("sidon", "-h"),
         sidon,
     ]
     cli._build_parser.cache_clear()
@@ -534,5 +617,5 @@ def test_in_process_calls_reuse_one_parser(tmp_path, ones_file, ones_trace_file,
         fresh = run_cli(*argv)
         assert (code, out, err) == (fresh.returncode, fresh.stdout, fresh.stderr), argv
         codes.append(code)
-    assert codes == [0, 1, 2, 1, 0]
+    assert codes == [0, 1, 2, 1, 2, 0, 0]
     assert cli._build_parser.cache_info().misses == 1

@@ -203,7 +203,18 @@ def main(argv=None) -> int:
         return 0
     if not (args.parent and args.change and args.out):
         parser.error("--parent, --change and --out are required without --compare")
-    plan = dict(item.split("=") for item in args.workload or [f"{w}=3" for w in WORKLOADS])
+    plan = {}
+    for item in args.workload or [f"{w}=3" for w in WORKLOADS]:
+        name, _, pairs = item.partition("=")
+        if name not in WORKLOADS:
+            parser.error(f"--workload {item}: the name must be one of {', '.join(WORKLOADS)}")
+        try:
+            plan[name] = int(pairs)
+        except ValueError:
+            parser.error(f"--workload {item}: expected {name}=PAIRS with PAIRS an integer")
+        # summary() takes quartiles, which need at least two runs per side
+        if plan[name] < 2:
+            parser.error(f"--workload {item}: PAIRS must be at least 2")
 
     with tempfile.TemporaryDirectory() as tmp:
         revisions, sides, lines, src_code, verifier_code, seconds = {}, {}, {}, {}, {}, {}
@@ -224,7 +235,7 @@ def main(argv=None) -> int:
             "traced_command": "python3 bench/run.py --workload W --seed 1 --trace 1",
             "quartiles": "statistics.quantiles(n=4, method='inclusive')",
             "workloads": {
-                w: record_workload(sides, w, int(pairs), args.first_seed)
+                w: record_workload(sides, w, pairs, args.first_seed)
                 for w, pairs in plan.items()
             },
         }
